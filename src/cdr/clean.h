@@ -42,6 +42,40 @@ struct CleanReport {
   }
 };
 
+/// The §3 screen for one record, the single home of the cleaning rules:
+/// counts `c` into `report` and returns true if it survives. Precedence is
+/// non-positive, then the artifact duration, then the plausibility ceiling.
+/// cdr::clean, both batch study drivers and the stream frontend all call
+/// it, so their CleanReports agree record for record.
+[[nodiscard]] inline bool screen_clean(const Connection& c,
+                                       const CleanOptions& options,
+                                       CleanReport& report) {
+  ++report.input_records;
+  if (c.duration_s <= 0) {
+    ++report.nonpositive_removed;
+    return false;
+  }
+  if (options.artifact_duration_s > 0 &&
+      c.duration_s == options.artifact_duration_s) {
+    ++report.hour_artifacts_removed;
+    return false;
+  }
+  if (options.max_plausible_duration_s > 0 &&
+      c.duration_s > options.max_plausible_duration_s) {
+    ++report.implausible_removed;
+    return false;
+  }
+  return true;
+}
+
+/// Adds `from`'s counts into `into` (every field is a counter).
+inline void merge_clean(CleanReport& into, const CleanReport& from) {
+  into.input_records += from.input_records;
+  into.hour_artifacts_removed += from.hour_artifacts_removed;
+  into.nonpositive_removed += from.nonpositive_removed;
+  into.implausible_removed += from.implausible_removed;
+}
+
 /// Returns a cleaned copy of `input` (finalized) and fills `report`.
 [[nodiscard]] Dataset clean(const Dataset& input, const CleanOptions& options,
                             CleanReport& report);

@@ -107,23 +107,6 @@ void ColumnBlock::clear() {
   duration.clear();
 }
 
-void for_each_car(const ColumnBlock& block,
-                  const std::function<void(const ColumnCarView&)>& fn) {
-  const std::size_t n = block.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const std::uint32_t car = block.car[i];
-    std::size_t j = i + 1;
-    while (j < n && block.car[j] == car) ++j;
-    fn(ColumnCarView{
-        car,
-        std::span<const std::uint32_t>(block.cell).subspan(i, j - i),
-        std::span<const std::int64_t>(block.start).subspan(i, j - i),
-        std::span<const std::int32_t>(block.duration).subspan(i, j - i)});
-    i = j;
-  }
-}
-
 // --- Writer ----------------------------------------------------------------
 
 ColumnarWriter::ColumnarWriter(std::ostream& out, std::uint32_t fleet_size,

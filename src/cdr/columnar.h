@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -92,22 +91,6 @@ struct ColumnBlock {
   [[nodiscard]] std::size_t size() const { return car.size(); }
   void clear();
 };
-
-/// One car's rows inside a decoded block: parallel column spans, the shape
-/// the pass accumulators' SIMD-friendly loops iterate.
-struct ColumnCarView {
-  std::uint32_t car = 0;
-  std::span<const std::uint32_t> cell;
-  std::span<const std::int64_t> start;
-  std::span<const std::int32_t> duration;
-
-  [[nodiscard]] std::size_t size() const { return cell.size(); }
-};
-
-/// Calls fn(ColumnCarView) for every car in the block, in ascending car
-/// order (rows are already grouped: the block holds sorted records).
-void for_each_car(const ColumnBlock& block,
-                  const std::function<void(const ColumnCarView&)>& fn);
 
 /// Streaming CCDR2 writer. Feed records in (car, start, cell, duration)
 /// order — Dataset::finalize's order — via add(); finish() writes the index

@@ -1,5 +1,7 @@
 #include "cdr/integrity.h"
 
+#include <iterator>
+
 namespace ccms::cdr {
 
 const char* name(FaultClass fault) {
@@ -40,6 +42,26 @@ std::uint64_t IngestReport::total_faults() const {
   std::uint64_t total = 0;
   for (const std::uint64_t c : counters) total += c;
   return total;
+}
+
+void merge_ingest(IngestReport& into, IngestReport&& from,
+                  std::size_t quarantine_cap) {
+  into.rows_read += from.rows_read;
+  into.records_accepted += from.records_accepted;
+  into.records_dropped += from.records_dropped;
+  into.records_repaired += from.records_repaired;
+  into.bom_stripped = into.bom_stripped || from.bom_stripped;
+  for (std::size_t i = 0; i < kFaultClassCount; ++i) {
+    into.counters[i] += from.counters[i];
+  }
+  into.quarantine.insert(into.quarantine.end(),
+                         std::make_move_iterator(from.quarantine.begin()),
+                         std::make_move_iterator(from.quarantine.end()));
+  into.quarantine_overflow += from.quarantine_overflow;
+  if (into.quarantine.size() > quarantine_cap) {
+    into.quarantine_overflow += into.quarantine.size() - quarantine_cap;
+    into.quarantine.resize(quarantine_cap);
+  }
 }
 
 }  // namespace ccms::cdr

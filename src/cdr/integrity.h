@@ -133,4 +133,14 @@ struct IngestReport {
   [[nodiscard]] bool clean() const { return total_faults() == 0; }
 };
 
+/// Folds `from` into `into`, where `from` accounts for input strictly after
+/// `into`'s (a later chunk, block or stage): counters add, quarantines
+/// concatenate in input order and are cut back to the first
+/// `quarantine_cap` entries, the cut ones counted as overflow. Each side
+/// retained a prefix of its own entries, so the result holds exactly the
+/// entries one sequential pass would have kept. `mode` and
+/// `bytes_consumed` are left to the caller.
+void merge_ingest(IngestReport& into, IngestReport&& from,
+                  std::size_t quarantine_cap);
+
 }  // namespace ccms::cdr

@@ -307,21 +307,6 @@ class CsvIngester {
   bool first_line_;
 };
 
-void merge_report(IngestReport& into, IngestReport& from) {
-  into.rows_read += from.rows_read;
-  into.records_accepted += from.records_accepted;
-  into.records_dropped += from.records_dropped;
-  into.records_repaired += from.records_repaired;
-  into.bom_stripped = into.bom_stripped || from.bom_stripped;
-  for (std::size_t i = 0; i < kFaultClassCount; ++i) {
-    into.counters[i] += from.counters[i];
-  }
-  into.quarantine.insert(into.quarantine.end(),
-                         std::make_move_iterator(from.quarantine.begin()),
-                         std::make_move_iterator(from.quarantine.end()));
-  into.quarantine_overflow += from.quarantine_overflow;
-}
-
 void apply_meta(Dataset& dataset, const ChunkOutcome& part) {
   if (part.meta_fleet_size) dataset.set_fleet_size(*part.meta_fleet_size);
   if (part.meta_study_days) dataset.set_study_days(*part.meta_study_days);
@@ -394,24 +379,17 @@ Dataset merge_outcomes(std::vector<ChunkOutcome>& parts,
     if (strict && part.has_fault) {
       // Chunks before this one merged fault-free; this chunk's slice stops
       // at its first fault — exactly the sequential pass's state.
-      merge_report(report, part.report);
+      merge_ingest(report, std::move(part.report), options.quarantine_cap);
       throw util::CsvError(part.fault_message);
     }
 
-    merge_report(report, part.report);
+    // Each chunk kept at most its first `cap` entries, and any globally
+    // top-`cap` entry ranks at least as high within its own chunk, so the
+    // capped offset-ordered concatenation is the sequential retained set.
+    merge_ingest(report, std::move(part.report), options.quarantine_cap);
     apply_meta(dataset, part);
     total_accepted += part.accepted.size();
     if (part.has_seen) prev = &part;
-  }
-
-  // Global quarantine cap: each chunk kept at most its first `cap` entries,
-  // and any globally-top-`cap` entry ranks at least as high within its own
-  // chunk, so truncating the offset-ordered concatenation reproduces the
-  // sequential retained set; the arithmetic keeps overflow exact.
-  if (report.quarantine.size() > options.quarantine_cap) {
-    report.quarantine_overflow +=
-        report.quarantine.size() - options.quarantine_cap;
-    report.quarantine.resize(options.quarantine_cap);
   }
 
   dataset.reserve(dataset.size() + total_accepted);
@@ -610,7 +588,8 @@ Dataset read_binary_buffer(std::string_view bytes,
     }
   }
   if (header_part.has_fault) {  // strict-mode header fault: fail fast
-    merge_report(report, header_part.report);
+    merge_ingest(report, std::move(header_part.report),
+                 options.quarantine_cap);
     throw util::CsvError(header_part.fault_message);
   }
   if (header_fatal) record_count = 0;

@@ -1,109 +1,106 @@
 #include "core/study.h"
 
 #include <utility>
+#include <vector>
 
 #include "cdr/io.h"
-#include "core/passes.h"
+#include "core/study_sweep.h"
 #include "exec/parallel.h"
 #include "exec/thread_pool.h"
 
 namespace ccms::core {
 
-namespace {
+StudySweep::StudySweep(int study_days, const net::CellTable& cells,
+                       const CellLoad& load, const StudyOptions& options)
+    : presence_(study_days),
+      connected_(study_days, options.truncation_cap),
+      days_(study_days),
+      busy_(&load, options.busy_prb_threshold),
+      handovers_(&cells, cdr::kJourneyGap),
+      carriers_(&cells),
+      concurrency_(study_days, cdr::kSessionGap),
+      cell_sessions_(options.truncation_cap) {}
 
-/// Every car-grouped §4 pass fused into one sweep state: a single traversal
-/// of each car span feeds all seven accumulators, replacing the seven
-/// independent full passes the batch driver used to make.
-struct CarSweep {
-  PresenceAccumulator presence;
-  ConnectedTimeAccumulator connected;
-  DaysAccumulator days;
-  BusyTimeAccumulator busy;
-  HandoverAccumulator handovers;
-  CarrierUsageAccumulator carriers;
-  ConcurrencyPairsAccumulator concurrency;
+void StudySweep::add_car(CarId car, std::span<const cdr::Connection> records) {
+  presence_.add_car(car, records);
+  connected_.add_car(car, records);
+  days_.add_car(car, records);
+  busy_.add_car(car, records);
+  handovers_.add_car(car, records);
+  carriers_.add_car(car, records);
+  concurrency_.add_car(car, records);
+  cell_sessions_.add_car(car, records);
+}
 
-  CarSweep(const cdr::Dataset& dataset, const net::CellTable& cells,
-           const CellLoad& load, const StudyOptions& options)
-      : presence(dataset.study_days()),
-        connected(dataset.study_days(), options.truncation_cap),
-        days(dataset.study_days()),
-        busy(&load, options.busy_prb_threshold),
-        handovers(&cells, cdr::kJourneyGap),
-        carriers(&cells),
-        concurrency(dataset.study_days(), cdr::kSessionGap) {}
+void StudySweep::merge(StudySweep&& other) {
+  cdr::merge_clean(clean, other.clean);
+  presence_.merge(std::move(other.presence_));
+  connected_.merge(std::move(other.connected_));
+  days_.merge(std::move(other.days_));
+  busy_.merge(std::move(other.busy_));
+  handovers_.merge(std::move(other.handovers_));
+  carriers_.merge(other.carriers_);
+  concurrency_.merge(std::move(other.concurrency_));
+  cell_sessions_.merge(std::move(other.cell_sessions_));
+}
 
-  void add_car(const cdr::Dataset::CarSpan& span) {
-    presence.add_car(span.car, span.records);
-    connected.add_car(span.car, span.records);
-    days.add_car(span.car, span.records);
-    busy.add_car(span.car, span.records);
-    handovers.add_car(span.car, span.records);
-    carriers.add_car(span.car, span.records);
-    concurrency.add_car(span.car, span.records);
-  }
-
-  /// Merges a sweep whose cars are strictly after this one's.
-  void merge(CarSweep&& other) {
-    presence.merge(std::move(other.presence));
-    connected.merge(std::move(other.connected));
-    days.merge(std::move(other.days));
-    busy.merge(std::move(other.busy));
-    handovers.merge(std::move(other.handovers));
-    carriers.merge(other.carriers);
-    concurrency.merge(std::move(other.concurrency));
-  }
-};
-
-}  // namespace
-
-StudyReport run_study(const cdr::Dataset& raw, const net::CellTable& cells,
-                      const CellLoad& load, const StudyOptions& options) {
+StudyReport StudySweep::finish(std::uint32_t fleet_size, int study_days,
+                               const CellLoad& load,
+                               const StudyOptions& options) && {
   StudyReport report;
-  const cdr::Dataset cleaned = cdr::clean(raw, options.clean, report.clean);
-
-  exec::ThreadPool pool(options.threads);
-
-  // Sweep 1: one pass over car spans feeds every car-grouped analysis.
-  // Fixed-size chunks folded sequentially and merged in ascending car order
-  // make the result bitwise identical for any pool size.
-  const auto car_spans = cleaned.car_spans();
-  CarSweep sweep = exec::parallel_over_spans(
-      pool, car_spans,
-      [&] { return CarSweep(cleaned, cells, load, options); },
-      [](CarSweep& acc, const cdr::Dataset::CarSpan& span) {
-        acc.add_car(span);
-      },
-      [](CarSweep& into, CarSweep&& from) { into.merge(std::move(from)); });
-
-  // Sweep 2: one pass over cell spans for the cell-grouped analysis.
-  const auto cell_spans = cleaned.cell_spans();
-  CellSessionsAccumulator cell_acc = exec::parallel_over_spans(
-      pool, cell_spans,
-      [&] { return CellSessionsAccumulator(options.truncation_cap); },
-      [&](CellSessionsAccumulator& acc, const cdr::Dataset::CellSpan& span) {
-        acc.add_cell(cleaned, span.cell, span.indices);
-      },
-      [](CellSessionsAccumulator& into, CellSessionsAccumulator&& from) {
-        into.merge(std::move(from));
-      });
-
-  report.presence = sweep.presence.finalize(cleaned.fleet_size());
-  report.connected_time = std::move(sweep.connected).finalize();
-  report.days = std::move(sweep.days).finalize();
-  report.busy_time = std::move(sweep.busy).finalize();
+  report.clean = clean;
+  report.presence = presence_.finalize(fleet_size);
+  report.connected_time = std::move(connected_).finalize();
+  report.days = std::move(days_).finalize();
+  report.busy_time = std::move(busy_).finalize();
   report.segmentation =
       segment_cars(report.days, report.busy_time, options.segmentation);
-  report.cell_sessions = std::move(cell_acc).finalize();
-  report.handovers = std::move(sweep.handovers).finalize();
-  report.carriers = sweep.carriers.finalize();
+  report.cell_sessions = std::move(cell_sessions_).finalize();
+  report.handovers = std::move(handovers_).finalize();
+  report.carriers = carriers_.finalize();
 
-  const ConcurrencyGrid grid = ConcurrencyGrid::from_pairs(
-      std::move(sweep.concurrency).take_pairs(), cleaned.study_days());
+  const auto [keys, counts] = std::move(concurrency_).take_counts();
+  const ConcurrencyGrid grid =
+      ConcurrencyGrid::from_bin_counts(keys, counts, study_days);
   report.clusters =
       cluster_busy_cells(grid, load, options.cluster_load_threshold,
                          options.cluster_k, options.cluster_seed);
   return report;
+}
+
+StudyReport run_study(const cdr::Dataset& raw, const net::CellTable& cells,
+                      const CellLoad& load, const StudyOptions& options) {
+  if (!raw.finalized()) {
+    // The sweep needs start-ordered car spans. cdr::clean finalizes its copy
+    // and derives any geometry the caller left unset from the surviving
+    // records; sweeping that copy screens nothing further, so only its
+    // clean accounting is taken from the copy step.
+    cdr::CleanReport clean;
+    const cdr::Dataset cleaned = cdr::clean(raw, options.clean, clean);
+    StudyReport report = run_study(cleaned, cells, load, options);
+    report.clean = clean;
+    return report;
+  }
+
+  // One pass over the car spans: each car is screened through §3 into a
+  // per-thread buffer and its survivors folded into every pass. Fixed-size
+  // chunks folded sequentially and merged in ascending car order make the
+  // result bitwise identical for any pool size.
+  exec::ThreadPool pool(options.threads);
+  const int study_days = raw.study_days();
+  StudySweep sweep = exec::parallel_over_spans(
+      pool, raw.car_spans(),
+      [&] { return StudySweep(study_days, cells, load, options); },
+      [&](StudySweep& acc, const cdr::Dataset::CarSpan& span) {
+        thread_local std::vector<cdr::Connection> kept;
+        kept.clear();
+        for (const cdr::Connection& c : span.records) {
+          if (cdr::screen_clean(c, options.clean, acc.clean)) kept.push_back(c);
+        }
+        if (!kept.empty()) acc.add_car(span.car, kept);
+      },
+      [](StudySweep& into, StudySweep&& from) { into.merge(std::move(from)); });
+  return std::move(sweep).finish(raw.fleet_size(), study_days, load, options);
 }
 
 StudyReport run_study_csv(const std::string& path, const net::CellTable& cells,

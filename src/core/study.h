@@ -38,7 +38,7 @@ struct StudyOptions {
   double cluster_load_threshold = 0.70;  ///< Fig 11 busy-radio filter
   int cluster_k = 2;                     ///< Fig 11 k
   std::uint64_t cluster_seed = 1;
-  /// Executor width for the two span sweeps (see exec::ThreadPool):
+  /// Executor width for the batch sweep (see exec::ThreadPool):
   /// 1 = sequential (default), 0 = hardware_concurrency, N = N threads.
   /// The report is bitwise identical for every value.
   int threads = 1;
@@ -60,8 +60,13 @@ struct StudyReport {
   ConcurrencyClusters clusters;   // Fig 11
 };
 
-/// Runs cleaning + every analysis. `raw` may contain artifacts; it is
-/// cleaned per `options.clean` first (§3), then analysed.
+/// Runs cleaning + every analysis in one parallel sweep over `raw`'s car
+/// spans: each record is screened per `options.clean` (§3, counted in the
+/// report's clean accounting) and each car's survivors feed every §4 pass.
+/// `raw` may contain artifacts and need not be finalized; an unfinalized
+/// `raw` is first cleaned into a finalized copy (cdr::clean). The report
+/// equals cdr::clean followed by the sequential analyze_* shells, bitwise,
+/// for every options.threads.
 [[nodiscard]] StudyReport run_study(const cdr::Dataset& raw,
                                     const net::CellTable& cells,
                                     const CellLoad& load,

@@ -1,9 +1,8 @@
 // Out-of-core batch driver: run_study over a CCDR2 file without ever
 // holding the records in memory.
 //
-// The sweep folds car-aligned column blocks through the same pass
-// accumulators run_study uses, in fixed-size block chunks merged in
-// ascending order. Determinism and exactness rest on three properties,
+// The sweep folds car-aligned column blocks through the same StudySweep
+// run_study uses, in fixed-size block chunks merged in ascending order. Determinism and exactness rest on three properties,
 // argued in DESIGN.md §13:
 //
 //   1. Blocks are car-aligned, so every chunk boundary is a car boundary
@@ -27,13 +26,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cdr/columnar.h"
-#include "core/passes.h"
+#include "core/study_sweep.h"
 #include "exec/thread_pool.h"
 
 namespace ccms::core {
@@ -45,77 +43,25 @@ namespace {
 /// pool width.
 constexpr std::size_t kBlocksPerChunk = 4;
 
-/// All per-chunk sweep state: ingest + clean accounting and the seven
-/// car-grouped pass accumulators plus the cell-blind duration pass.
+/// All per-chunk sweep state: ingest accounting, the fleet-size witness and
+/// the study sweep proper (clean accounting and every pass).
 struct ColumnarSweep {
   cdr::IngestReport ingest;
-  cdr::CleanReport clean;
   std::uint32_t max_car = 0;
   bool any_accepted = false;
-
-  PresenceAccumulator presence;
-  ConnectedTimeAccumulator connected;
-  DaysAccumulator days;
-  BusyTimeAccumulator busy;
-  HandoverAccumulator handovers;
-  CarrierUsageAccumulator carriers;
-  ConcurrencyCountsAccumulator concurrency;
-  CellSessionsAccumulator cell_sessions;
+  StudySweep sweep;
 
   ColumnarSweep(int study_days, const net::CellTable& cells,
                 const CellLoad& load, const StudyOptions& options)
-      : presence(study_days),
-        connected(study_days, options.truncation_cap),
-        days(study_days),
-        busy(&load, options.busy_prb_threshold),
-        handovers(&cells, cdr::kJourneyGap),
-        carriers(&cells),
-        concurrency(study_days, cdr::kSessionGap),
-        cell_sessions(options.truncation_cap) {}
+      : sweep(study_days, cells, load, options) {}
 
   /// Merges a sweep whose blocks (hence cars) are strictly after this
-  /// one's. `quarantine_cap` re-applies the global quarantine bound after
-  /// the per-chunk quarantines concatenate.
+  /// one's.
   void merge(ColumnarSweep&& other, std::size_t quarantine_cap) {
-    merge_ingest(ingest, std::move(other.ingest), quarantine_cap);
-    clean.input_records += other.clean.input_records;
-    clean.hour_artifacts_removed += other.clean.hour_artifacts_removed;
-    clean.nonpositive_removed += other.clean.nonpositive_removed;
-    clean.implausible_removed += other.clean.implausible_removed;
+    cdr::merge_ingest(ingest, std::move(other.ingest), quarantine_cap);
     max_car = std::max(max_car, other.max_car);
     any_accepted = any_accepted || other.any_accepted;
-    presence.merge(std::move(other.presence));
-    connected.merge(std::move(other.connected));
-    days.merge(std::move(other.days));
-    busy.merge(std::move(other.busy));
-    handovers.merge(std::move(other.handovers));
-    carriers.merge(other.carriers);
-    concurrency.merge(std::move(other.concurrency));
-    cell_sessions.merge(std::move(other.cell_sessions));
-  }
-
-  /// The ingest-report fold io.cpp's chunked readers use: counters add,
-  /// quarantines concatenate in stream order, then the global cap is
-  /// re-applied (each side retained a prefix of its own entries, so the
-  /// concatenation's first `cap` are exactly the sequential retained set).
-  static void merge_ingest(cdr::IngestReport& into, cdr::IngestReport&& from,
-                           std::size_t cap) {
-    into.rows_read += from.rows_read;
-    into.records_accepted += from.records_accepted;
-    into.records_dropped += from.records_dropped;
-    into.records_repaired += from.records_repaired;
-    into.bom_stripped = into.bom_stripped || from.bom_stripped;
-    for (std::size_t i = 0; i < cdr::kFaultClassCount; ++i) {
-      into.counters[i] += from.counters[i];
-    }
-    into.quarantine.insert(into.quarantine.end(),
-                           std::make_move_iterator(from.quarantine.begin()),
-                           std::make_move_iterator(from.quarantine.end()));
-    into.quarantine_overflow += from.quarantine_overflow;
-    if (into.quarantine.size() > cap) {
-      into.quarantine_overflow += into.quarantine.size() - cap;
-      into.quarantine.resize(cap);
-    }
+    sweep.merge(std::move(other.sweep));
   }
 };
 
@@ -124,10 +70,7 @@ struct ColumnarSweep {
 /// thread count, not the chunk count.
 struct DecodeScratch {
   cdr::ColumnBlock block;
-  std::vector<std::uint32_t> cell;
-  std::vector<std::int64_t> start;
-  std::vector<std::int32_t> duration;
-  std::vector<cdr::Connection> records;
+  std::vector<cdr::Connection> car;  ///< one car's cleaned records
 };
 
 DecodeScratch& scratch_for_thread() {
@@ -135,34 +78,8 @@ DecodeScratch& scratch_for_thread() {
   return scratch;
 }
 
-/// Feeds one staged car — its cleaned records, as parallel column spans —
-/// to every accumulator, then clears the staging buffers.
-void flush_car(ColumnarSweep& acc, DecodeScratch& s, std::uint32_t car) {
-  if (s.cell.empty()) return;
-  const cdr::ColumnCarView view{car, s.cell, s.start, s.duration};
-  acc.presence.add_car(view);
-  acc.connected.add_car(view);
-  acc.days.add_car(view);
-  acc.busy.add_car(view);
-  acc.carriers.add_car(view);
-  acc.cell_sessions.add_car(view);
-  // The session-structured passes walk record structs; bridge the cleaned
-  // columns once per car.
-  s.records.clear();
-  s.records.reserve(s.cell.size());
-  for (std::size_t i = 0; i < s.cell.size(); ++i) {
-    s.records.push_back(cdr::Connection{CarId{car}, CellId{s.cell[i]},
-                                        s.start[i], s.duration[i]});
-  }
-  acc.handovers.add_car(CarId{car}, s.records);
-  acc.concurrency.add_car(CarId{car}, s.records);
-  s.cell.clear();
-  s.start.clear();
-  s.duration.clear();
-}
-
 /// Folds one block: decode, screen (§7), clean (§3), stage per car. The
-/// screen/clean order and accounting mirror read_columnar + cdr::clean
+/// screen/clean order and accounting match read_columnar + cdr::clean
 /// record for record.
 void fold_block(ColumnarSweep& acc, const cdr::ColumnarFile& file,
                 std::size_t b, const StudyOptions& options,
@@ -185,36 +102,21 @@ void fold_block(ColumnarSweep& acc, const cdr::ColumnarFile& file,
     acc.ingest.records_dropped += desc.records;
     return;
   }
-  const cdr::CleanOptions& clean = options.clean;
-  std::uint32_t car = 0;
+  s.car.clear();
   for (std::size_t i = 0; i < s.block.size(); ++i) {
     const cdr::Connection c{CarId{s.block.car[i]}, CellId{s.block.cell[i]},
                             s.block.start[i], s.block.duration[i]};
     if (!screen.screen(c, desc.offset)) continue;
     acc.any_accepted = true;
     acc.max_car = std::max(acc.max_car, c.car.value);
-    ++acc.clean.input_records;
-    if (c.duration_s <= 0) {
-      ++acc.clean.nonpositive_removed;
-      continue;
+    if (!cdr::screen_clean(c, options.clean, acc.sweep.clean)) continue;
+    if (!s.car.empty() && c.car != s.car.back().car) {
+      acc.sweep.add_car(s.car.back().car, s.car);
+      s.car.clear();
     }
-    if (clean.artifact_duration_s > 0 &&
-        c.duration_s == clean.artifact_duration_s) {
-      ++acc.clean.hour_artifacts_removed;
-      continue;
-    }
-    if (clean.max_plausible_duration_s > 0 &&
-        c.duration_s > clean.max_plausible_duration_s) {
-      ++acc.clean.implausible_removed;
-      continue;
-    }
-    if (!s.cell.empty() && c.car.value != car) flush_car(acc, s, car);
-    car = c.car.value;
-    s.cell.push_back(c.cell.value);
-    s.start.push_back(c.start);
-    s.duration.push_back(c.duration_s);
+    s.car.push_back(c);
   }
-  flush_car(acc, s, car);
+  if (!s.car.empty()) acc.sweep.add_car(s.car.back().car, s.car);
 }
 
 StudyReport run_columnar_impl(const cdr::ColumnarFile& file,
@@ -279,26 +181,10 @@ StudyReport run_columnar_impl(const cdr::ColumnarFile& file,
     fleet_size = total.max_car + 1;
   }
 
-  StudyReport report;
-  ColumnarSweep::merge_ingest(base, std::move(total.ingest), cap);
+  StudyReport report =
+      std::move(total.sweep).finish(fleet_size, study_days, load, options);
+  cdr::merge_ingest(base, std::move(total.ingest), cap);
   report.ingest = std::move(base);
-  report.clean = total.clean;
-  report.presence = total.presence.finalize(fleet_size);
-  report.connected_time = std::move(total.connected).finalize();
-  report.days = std::move(total.days).finalize();
-  report.busy_time = std::move(total.busy).finalize();
-  report.segmentation =
-      segment_cars(report.days, report.busy_time, options.segmentation);
-  report.cell_sessions = std::move(total.cell_sessions).finalize();
-  report.handovers = std::move(total.handovers).finalize();
-  report.carriers = total.carriers.finalize();
-
-  auto [keys, counts] = std::move(total.concurrency).take_counts();
-  const ConcurrencyGrid grid =
-      ConcurrencyGrid::from_bin_counts(keys, counts, study_days);
-  report.clusters =
-      cluster_busy_cells(grid, load, options.cluster_load_threshold,
-                         options.cluster_k, options.cluster_seed);
   return report;
 }
 

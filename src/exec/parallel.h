@@ -60,9 +60,9 @@ auto parallel_reduce(ThreadPool& pool, std::size_t n, std::size_t chunk_size,
   return result;
 }
 
-/// parallel_reduce over a materialised span list (Dataset::car_spans() /
-/// cell_spans()): fold(acc, span) is called for every span, chunked and
-/// merged deterministically as above.
+/// parallel_reduce over a materialised span list (Dataset::car_spans()):
+/// fold(acc, span) is called for every span, chunked and merged
+/// deterministically as above.
 template <typename Span, typename MakeFn, typename FoldFn, typename MergeFn>
 auto parallel_over_spans(ThreadPool& pool, const std::vector<Span>& spans,
                          const MakeFn& make, const FoldFn& fold,

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 
+#include "cdr/clean.h"
 #include "util/csv.h"
 
 namespace ccms::faults {
@@ -461,13 +462,11 @@ FaultInjector::JitteredFeed FaultInjector::jitter_feed(
   // A record the engine's clean screen removes never reaches the watermark:
   // it cannot be quarantined as late, and as a witness it would never
   // advance the watermark past its flagged record's start.
+  const cdr::CleanOptions clean{jitter.artifact_duration_s,
+                                jitter.max_plausible_duration_s};
+  cdr::CleanReport unused;
   const auto screened = [&](std::size_t i) {
-    const std::int32_t d = start_sorted_feed[i].duration_s;
-    return d <= 0 ||
-           (jitter.artifact_duration_s > 0 &&
-            d == jitter.artifact_duration_s) ||
-           (jitter.max_plausible_duration_s > 0 &&
-            d > jitter.max_plausible_duration_s);
+    return !cdr::screen_clean(start_sorted_feed[i], clean, unused);
   };
 
   // One flag draw + one delay draw per record, unconditionally, so the rng

@@ -55,23 +55,9 @@ Frontend::Decision Frontend::offer(const cdr::Connection& c,
   }
   ++ingest_.rows_read;
 
-  // Stage 1 — the §3 clean screen, same rules and same precedence as the
-  // batch cdr::clean, so the CleanReport matches it record for record.
-  ++clean_.input_records;
-  if (c.duration_s <= 0) {
-    ++clean_.nonpositive_removed;
-    return Decision::kCleaned;
-  }
-  if (config_.clean.artifact_duration_s > 0 &&
-      c.duration_s == config_.clean.artifact_duration_s) {
-    ++clean_.hour_artifacts_removed;
-    return Decision::kCleaned;
-  }
-  if (config_.clean.max_plausible_duration_s > 0 &&
-      c.duration_s > config_.clean.max_plausible_duration_s) {
-    ++clean_.implausible_removed;
-    return Decision::kCleaned;
-  }
+  // Stage 1 — the §3 clean screen, the batch drivers' cdr::screen_clean,
+  // so the CleanReport matches theirs record for record.
+  if (!cdr::screen_clean(c, config_.clean, clean_)) return Decision::kCleaned;
 
   // Stage 2 — the watermark. Only clean records advance it: a corrupt
   // timestamp must not eject a window's worth of good records.

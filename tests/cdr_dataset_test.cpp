@@ -134,31 +134,10 @@ TEST(DatasetTest, CarSpansMatchForEachCar) {
   EXPECT_EQ(visit, spans.size());
 }
 
-TEST(DatasetTest, CellSpansMatchForEachCell) {
-  const Dataset d = make_dataset({
-      conn(0, 9, 0, 10),
-      conn(1, 5, 200, 10),
-      conn(2, 5, 100, 10),
-      conn(3, 5, 50, 10),
-  });
-  const auto spans = d.cell_spans();
-
-  std::size_t visit = 0;
-  d.for_each_cell([&](CellId cell, std::span<const std::uint32_t> indices) {
-    ASSERT_LT(visit, spans.size());
-    EXPECT_EQ(spans[visit].cell, cell);
-    ASSERT_EQ(spans[visit].indices.size(), indices.size());
-    EXPECT_EQ(spans[visit].indices.data(), indices.data());
-    ++visit;
-  });
-  EXPECT_EQ(visit, spans.size());
-}
-
 TEST(DatasetTest, SpansOfEmptyDatasetAreEmpty) {
   Dataset d;
   d.finalize();
   EXPECT_TRUE(d.car_spans().empty());
-  EXPECT_TRUE(d.cell_spans().empty());
 }
 
 TEST(DatasetTest, BulkAdd) {
