@@ -28,7 +28,7 @@ std::vector<int> bin_occurrences(int study_days) {
 ConcurrencyGrid ConcurrencyGrid::build(const cdr::Dataset& dataset,
                                        time::Seconds session_gap) {
   // Per car, the distinct (cell, absolute 15-minute bin) pairs its session
-  // legs straddle; the accumulator counts them across cars.
+  // legs straddle; the accumulator counts them across cars per week bin.
   ConcurrencyCountsAccumulator acc(dataset.study_days(), session_gap);
   dataset.for_each_car([&](CarId car, std::span<const cdr::Connection> conns) {
     acc.add_car(car, conns);
@@ -43,28 +43,24 @@ ConcurrencyGrid ConcurrencyGrid::from_bin_counts(
   ConcurrencyGrid grid;
   grid.study_days_ = std::max(1, study_days);
 
-  // Aggregate per (cell, bin) multiplicity into per-cell weekly averages.
+  // Aggregate per (cell, week bin) multiplicity into per-cell weekly
+  // averages.
   const std::vector<int> occurrences = bin_occurrences(grid.study_days_);
 
   std::size_t i = 0;
   while (i < keys.size()) {
-    const auto cell_value = static_cast<std::uint32_t>(keys[i] >> 24);
+    const auto cell_value =
+        static_cast<std::uint32_t>(keys[i] >> kWeekBinBits);
     CellConcurrency profile;
     profile.cell = CellId{cell_value};
     std::vector<std::int64_t> week_totals(time::kBins15PerWeek, 0);
 
-    while (i < keys.size() &&
-           static_cast<std::uint32_t>(keys[i] >> 24) == cell_value) {
-      const auto abs_bin =
-          static_cast<std::int64_t>(keys[i] & 0xFFFFFFu);
+    while (i < keys.size() && (keys[i] >> kWeekBinBits) == cell_value) {
+      const auto week_bin =
+          static_cast<std::size_t>(keys[i] & ((1u << kWeekBinBits) - 1));
       const auto count = static_cast<std::int64_t>(counts[i]);
       ++i;
-      const int day = static_cast<int>(abs_bin / time::kBins15PerDay);
-      const int dow = day % time::kDaysPerWeek;
-      const int bin_of_day =
-          static_cast<int>(abs_bin % time::kBins15PerDay);
-      week_totals[static_cast<std::size_t>(dow * time::kBins15PerDay +
-                                           bin_of_day)] += count;
+      week_totals.at(week_bin) += count;
       profile.observations += static_cast<std::uint64_t>(count);
     }
 

@@ -20,6 +20,11 @@
 
 namespace ccms::core {
 
+/// Low bits of a concurrency key that hold the 15-minute bin of the week:
+/// key = (cell << kWeekBinBits) | (day_of_week * 96 + bin_of_day).
+inline constexpr int kWeekBinBits = 10;
+static_assert(time::kBins15PerWeek <= (1 << kWeekBinBits));
+
 /// Concurrency profile of one cell.
 struct CellConcurrency {
   CellId cell;
@@ -44,10 +49,12 @@ class ConcurrencyGrid {
   [[nodiscard]] static ConcurrencyGrid build(
       const cdr::Dataset& dataset, time::Seconds session_gap = cdr::kSessionGap);
 
-  /// Builds the grid from the run-length form of the per-car deduplicated
-  /// (cell << 24) | absolute_bin observations: strictly ascending unique
-  /// keys and a multiplicity per key (ConcurrencyCountsAccumulator's
-  /// output, which is what `build` and both batch drivers feed it).
+  /// Builds the grid from the run-length form of the distinct-car
+  /// observations, keyed (cell << kWeekBinBits) | bin_of_week: strictly
+  /// ascending unique keys and a multiplicity per key, the number of
+  /// (car, absolute bin) pairs that fold onto that cell and week bin
+  /// (ConcurrencyCountsAccumulator's output, which is what `build` and both
+  /// batch drivers feed it). Every bin_of_week must be below 672.
   [[nodiscard]] static ConcurrencyGrid from_bin_counts(
       std::span<const std::uint64_t> keys,
       std::span<const std::uint64_t> counts, int study_days);

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "cdr/clean.h"
+#include "core/concurrency.h"
 #include "stats/quantile.h"
 
 namespace ccms::core {
@@ -14,15 +15,15 @@ namespace {
 /// Merge-joins sorted (value, count) runs from `add_*` into `values`/`counts`
 /// (both strictly ascending): counts of equal values add. The run form is a
 /// canonical encoding of the underlying multiset, so any merge order yields
-/// the same store.
+/// the same store. `add_*` are consumed: an empty target takes them over.
 template <typename V>
 void merge_runs(std::vector<V>& values, std::vector<std::uint64_t>& counts,
-                const std::vector<V>& add_values,
-                const std::vector<std::uint64_t>& add_counts) {
+                std::vector<V>&& add_values,
+                std::vector<std::uint64_t>&& add_counts) {
   if (add_values.empty()) return;
   if (values.empty()) {
-    values = add_values;
-    counts = add_counts;
+    values.swap(add_values);
+    counts.swap(add_counts);
     return;
   }
   std::vector<V> merged_values;
@@ -429,6 +430,9 @@ ConcurrencyCountsAccumulator::ConcurrencyCountsAccumulator(
 
 void ConcurrencyCountsAccumulator::add_car(
     CarId /*car*/, std::span<const cdr::Connection> records) {
+  // Deduplicate on absolute bins, so a car counts once per bin it occupies;
+  // then fold each bin onto its bin of the week (the study starts on a
+  // Monday, so absolute bin b is week bin b mod 672).
   scratch_.clear();
   const auto sessions = cdr::aggregate_sessions(records, session_gap_);
   for (const cdr::Session& s : sessions) {
@@ -447,7 +451,11 @@ void ConcurrencyCountsAccumulator::add_car(
   std::sort(scratch_.begin(), scratch_.end());
   scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
                  scratch_.end());
-  pending_.insert(pending_.end(), scratch_.begin(), scratch_.end());
+  constexpr auto kWeek = static_cast<std::uint64_t>(time::kBins15PerWeek);
+  for (const std::uint64_t key : scratch_) {
+    pending_.push_back(((key >> 24) << kWeekBinBits) |
+                       ((key & 0xFFFFFFu) % kWeek));
+  }
   if (pending_.size() >= kPassFlushRecords) flush_pending();
 }
 
@@ -456,14 +464,16 @@ void ConcurrencyCountsAccumulator::flush_pending() {
   std::vector<std::uint64_t> values;
   std::vector<std::uint64_t> counts;
   encode_runs(pending_, values, counts);
-  merge_runs(keys_, counts_, values, counts);
+  merge_runs(keys_, counts_, std::move(values), std::move(counts));
   pending_.clear();
 }
 
 void ConcurrencyCountsAccumulator::merge(ConcurrencyCountsAccumulator&& other) {
   other.flush_pending();
   flush_pending();
-  merge_runs(keys_, counts_, other.keys_, other.counts_);
+  // A merged store only absorbs further stores; its flush buffer is done.
+  std::vector<std::uint64_t>().swap(pending_);
+  merge_runs(keys_, counts_, std::move(other.keys_), std::move(other.counts_));
 }
 
 std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>>
@@ -492,14 +502,16 @@ void CellSessionsAccumulator::flush_pending() {
   std::vector<std::int32_t> values;
   std::vector<std::uint64_t> counts;
   encode_runs(pending_, values, counts);
-  merge_runs(run_values_, run_counts_, values, counts);
+  merge_runs(run_values_, run_counts_, std::move(values), std::move(counts));
   pending_.clear();
 }
 
 void CellSessionsAccumulator::merge(CellSessionsAccumulator&& other) {
   other.flush_pending();
   flush_pending();
-  merge_runs(run_values_, run_counts_, other.run_values_, other.run_counts_);
+  std::vector<std::int32_t>().swap(pending_);
+  merge_runs(run_values_, run_counts_, std::move(other.run_values_),
+             std::move(other.run_counts_));
   count_ += other.count_;
   truncated_sum_ += other.truncated_sum_;
 }

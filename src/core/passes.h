@@ -14,8 +14,9 @@
 //   finalize(...)           derive the figure struct
 //
 // Every merge is either integer addition, bitset OR, a canonical run-length
-// merge, or concatenation in ascending car order, so folding chunks on N
-// threads and merging them in chunk order is bitwise identical to the
+// merge, or concatenation in ascending car order. All of them are
+// associative, so folding chunks on N threads and merging them in
+// exec::parallel_reduce's fixed-shape tree is bitwise identical to the
 // sequential fold for any N — the property both batch drivers (through
 // core::StudySweep) exploit and the determinism suite asserts. The
 // sequential analyze_* entry points and the ccms::stream operators are thin
@@ -160,13 +161,15 @@ class CarrierUsageAccumulator {
   std::array<std::int64_t, net::kCarrierCount> seconds_{};
 };
 
-/// Fig 10/11 pass, car side: each car's deduplicated
-/// (cell << 24) | absolute_bin observations, aggregated into sorted
-/// (key, multiplicity) runs — O(distinct pairs) memory instead of
-/// O(observations), which is the difference between fitting and not fitting
-/// a 1M-car sweep. Raw per-car keys buffer in `pending_` and are sorted +
-/// merge-joined into the run store every kPassFlushRecords. The runs are a
-/// canonical encoding of the observation multiset, so merges commute.
+/// Fig 10/11 pass, car side: each car's distinct (cell, absolute 15-minute
+/// bin) observations, folded onto (cell << kWeekBinBits) | bin_of_week keys
+/// and aggregated into sorted (key, multiplicity) runs. Figs 10/11 are
+/// per-cell averages over the 672 bins of the week, so the week fold is
+/// exact and keeps O(cells x 672) keys whatever the study length, instead
+/// of O(observations). Raw per-car keys buffer in `pending_` and are
+/// sorted + merge-joined into the run store every kPassFlushRecords. The
+/// runs are a canonical encoding of the observation multiset, so merges
+/// commute.
 class ConcurrencyCountsAccumulator {
  public:
   ConcurrencyCountsAccumulator(int study_days, time::Seconds session_gap);
@@ -184,9 +187,10 @@ class ConcurrencyCountsAccumulator {
 
   std::int64_t total_bins_ = 0;
   time::Seconds session_gap_ = cdr::kSessionGap;
-  std::vector<std::uint64_t> pending_;  ///< per-car deduped keys, unflushed
+  std::vector<std::uint64_t> pending_;  ///< per-car week keys, unflushed
   std::vector<std::uint64_t> keys_;     ///< sorted, unique
   std::vector<std::uint64_t> counts_;   ///< multiplicity per key
+  /// One car's (cell << 24) | absolute_bin keys, deduplicated per car.
   std::vector<std::uint64_t> scratch_;
 };
 

@@ -79,7 +79,9 @@ class ExternalSorter {
 
   [[nodiscard]] std::uint64_t size() const { return total_; }
   [[nodiscard]] std::uint64_t bytes_spilled() const { return bytes_spilled_; }
-  [[nodiscard]] std::size_t run_count() const { return runs_.size(); }
+  /// Runs spilled so far, including the tail run merge() spills. Like
+  /// bytes_spilled(), it still reads true after merge() removed the files.
+  [[nodiscard]] std::size_t run_count() const { return runs_spilled_; }
 
   /// Emits every record in stable sorted order. If nothing was spilled the
   /// merge is a plain in-memory sweep. Call once; run files are removed
@@ -189,6 +191,7 @@ class ExternalSorter {
     }
     bytes_spilled_ += static_cast<std::uint64_t>(wrote) * sizeof(T);
     runs_.push_back(path);
+    ++runs_spilled_;
     buffer_.clear();
   }
 
@@ -202,6 +205,7 @@ class ExternalSorter {
   ThreadPool pool_;
   std::vector<T> buffer_;
   std::vector<std::string> runs_;
+  std::size_t runs_spilled_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t bytes_spilled_ = 0;
 };

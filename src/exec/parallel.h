@@ -6,11 +6,17 @@
 //      only on n and chunk_size — never on how many threads execute them.
 //   2. Each chunk folds its items sequentially, in ascending index order,
 //      into a chunk-local accumulator.
-//   3. Chunk accumulators merge left-to-right in ascending chunk order.
+//   3. Chunk accumulators merge in a fixed-shape binary tree: at stride s
+//      (1, 2, 4, ...) part[i] absorbs part[i + s] for every i that is a
+//      multiple of 2s, so every merge joins two adjacent item ranges, the
+//      absorbed one strictly after. The tree's shape depends only on the
+//      chunk count; the merges of one level run in parallel.
 //
-// Threads only decide *when* a chunk is computed, never *what* is computed
-// or in which order results combine, so every floating-point operation
-// sequence is identical across pool sizes (including 1).
+// Threads only decide *when* a chunk is computed or merged, never *what* is
+// computed or in which order results combine, so every floating-point
+// operation sequence is identical across pool sizes (including 1). A merge
+// that is associative (integer sums, set unions, canonical run merges,
+// in-order concatenation) also gives exactly the sequential fold's result.
 #pragma once
 
 #include <algorithm>
@@ -29,8 +35,9 @@ inline constexpr std::size_t kDefaultChunk = 64;
 
 /// Folds items [0, n) into one accumulator. `make()` builds an empty
 /// accumulator, `fold(acc, i)` integrates item i, `merge(into, from)`
-/// combines two chunk accumulators whose item ranges are adjacent (`from`
-/// strictly after `into`). Returns make() for n == 0.
+/// combines two accumulators whose item ranges are adjacent (`from`
+/// strictly after `into`); merges of disjoint pairs may run concurrently.
+/// Returns make() for n == 0.
 template <typename MakeFn, typename FoldFn, typename MergeFn>
 auto parallel_reduce(ThreadPool& pool, std::size_t n, std::size_t chunk_size,
                      const MakeFn& make, const FoldFn& fold,
@@ -53,11 +60,15 @@ auto parallel_reduce(ThreadPool& pool, std::size_t n, std::size_t chunk_size,
     parts[c].emplace(std::move(acc));
   });
 
-  Acc result = std::move(*parts[0]);
-  for (std::size_t c = 1; c < chunks; ++c) {
-    merge(result, std::move(*parts[c]));
+  for (std::size_t stride = 1; stride < chunks; stride *= 2) {
+    const std::size_t pairs = (chunks + stride - 1) / (2 * stride);
+    pool.parallel_for(pairs, [&](std::size_t k) {
+      const std::size_t into = k * 2 * stride;
+      merge(*parts[into], std::move(*parts[into + stride]));
+      parts[into + stride].reset();
+    });
   }
-  return result;
+  return std::move(*parts[0]);
 }
 
 /// parallel_reduce over a materialised span list (Dataset::car_spans()):

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <set>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "cdr/clean.h"
 #include "test_helpers.h"
 
 namespace ccms::core {
@@ -142,6 +151,123 @@ TEST(ConcurrencyTest, SessionGapMergesAcrossBins) {
   const CellConcurrency* profile = grid.find(CellId{3});
   EXPECT_DOUBLE_EQ(profile->weekly[32], 1.0);
   EXPECT_DOUBLE_EQ(profile->weekly[33], 1.0);
+}
+
+TEST(ConcurrencyTest, SameWeekBinInTwoWeeksCountsTwice) {
+  // 21-day study: the car is on cell 3 at Monday 08:00 in weeks 1 and 3.
+  // The two visits are distinct absolute bins that fold onto one bin of
+  // the week: 2 observations over 3 occurrences of that bin.
+  const auto d = make_dataset(
+      {
+          conn(0, 3, at(0, 8), 600),
+          conn(0, 3, at(14, 8), 600),
+      },
+      1, 21);
+  const ConcurrencyGrid grid = ConcurrencyGrid::build(d);
+  const CellConcurrency* profile = grid.find(CellId{3});
+  ASSERT_NE(profile, nullptr);
+  const auto bin = static_cast<std::size_t>(time::bin15_of_week(at(0, 8)));
+  EXPECT_EQ(profile->observations, 2u);
+  EXPECT_DOUBLE_EQ(profile->weekly[bin], 2.0 / 3.0);
+}
+
+TEST(ConcurrencyTest, TwoLegsInOneAbsoluteBinCountOnce) {
+  // Two legs of one car in the Monday 08:00 bin, far enough apart to be
+  // separate sessions, count once for that absolute bin; the same bin a
+  // week later adds the second observation.
+  const auto d = make_dataset(
+      {
+          conn(0, 3, at(0, 8, 1), 60),
+          conn(0, 3, at(0, 8, 12), 60),
+          conn(0, 3, at(7, 8, 5), 60),
+      },
+      1, 14);
+  const ConcurrencyGrid grid = ConcurrencyGrid::build(d);
+  const CellConcurrency* profile = grid.find(CellId{3});
+  ASSERT_NE(profile, nullptr);
+  const auto bin = static_cast<std::size_t>(time::bin15_of_week(at(0, 8)));
+  EXPECT_EQ(profile->observations, 2u);
+  EXPECT_DOUBLE_EQ(profile->weekly[bin], 1.0);
+}
+
+TEST(ConcurrencyTest, NinetyDayGridMatchesNaiveReference) {
+  // 90 days = 12 weeks + 6 days, so the last week is partial and bins of
+  // the week occur 12 or 13 times. The reference keeps each car's set of
+  // (cell, absolute bin) pairs its session legs overlap, then averages the
+  // per-cell totals over the occurrences of each bin of the week.
+  const sim::Study& study =
+      test::cached_study({.seed = 3, .fleet = 120, .days = 90, .quick = true});
+  cdr::CleanReport report;
+  const cdr::Dataset cleaned = cdr::clean(study.raw, {}, report);
+  const int days = cleaned.study_days();
+  ASSERT_EQ(days, 90);
+  const std::int64_t bins = std::int64_t{days} * time::kBins15PerDay;
+
+  std::map<std::uint32_t, std::vector<std::int64_t>> totals;
+  cleaned.for_each_car([&](CarId, std::span<const cdr::Connection> records) {
+    std::set<std::pair<std::uint32_t, std::int64_t>> seen;
+    for (const cdr::Session& s : cdr::aggregate_sessions(records)) {
+      for (const cdr::SessionLeg& leg : s.legs) {
+        // Overlap test over every bin near the leg, not a bin formula.
+        const std::int64_t near = leg.when.start / time::kSecondsPerBin15;
+        const std::int64_t far = leg.when.end / time::kSecondsPerBin15 + 1;
+        for (std::int64_t b = std::max<std::int64_t>(0, near - 1);
+             b <= far && b < bins; ++b) {
+          const time::Seconds lo = b * time::kSecondsPerBin15;
+          if (leg.when.start < lo + time::kSecondsPerBin15 &&
+              leg.when.end > lo) {
+            seen.insert({leg.cell.value, b});
+          }
+        }
+      }
+    }
+    for (const auto& [cell, b] : seen) {
+      auto& week = totals[cell];
+      week.resize(time::kBins15PerWeek, 0);
+      const std::int64_t day = b / time::kBins15PerDay;
+      ++week[static_cast<std::size_t>((day % time::kDaysPerWeek) *
+                                          time::kBins15PerDay +
+                                      b % time::kBins15PerDay)];
+    }
+  });
+  std::vector<int> occurrences(time::kBins15PerWeek, 0);
+  for (int day = 0; day < days; ++day) {
+    for (int b = 0; b < time::kBins15PerDay; ++b) {
+      ++occurrences[static_cast<std::size_t>(
+          (day % time::kDaysPerWeek) * time::kBins15PerDay + b)];
+    }
+  }
+
+  const ConcurrencyGrid grid = ConcurrencyGrid::build(cleaned);
+  ASSERT_EQ(grid.cells().size(), totals.size());
+  for (const auto& [cell, week] : totals) {
+    SCOPED_TRACE(testing::Message() << "cell=" << cell);
+    const CellConcurrency* profile = grid.find(CellId{cell});
+    ASSERT_NE(profile, nullptr);
+    std::uint64_t observations = 0;
+    for (std::size_t w = 0; w < week.size(); ++w) {
+      observations += static_cast<std::uint64_t>(week[w]);
+      EXPECT_EQ(profile->weekly[w],
+                static_cast<double>(week[w]) / occurrences[w])
+          << "week bin " << w;
+    }
+    EXPECT_EQ(profile->observations, observations);
+    for (int b = 0; b < time::kBins15PerDay; ++b) {
+      std::int64_t total = 0;
+      int occ = 0;
+      for (int dow = 0; dow < time::kDaysPerWeek; ++dow) {
+        const auto w =
+            static_cast<std::size_t>(dow * time::kBins15PerDay + b);
+        total += week[w];
+        occ += occurrences[w];
+      }
+      EXPECT_EQ(profile->daily[static_cast<std::size_t>(b)],
+                static_cast<double>(total) / occ)
+          << "bin of day " << b;
+    }
+    EXPECT_EQ(profile->peak, *std::max_element(profile->weekly.begin(),
+                                               profile->weekly.end()));
+  }
 }
 
 TEST(ConcurrencyTest, StudyDaysRecorded) {

@@ -52,6 +52,15 @@ TEST(DeterminismTest, LargeFleetIdenticalAcrossThreadCounts) {
   expect_thread_invariant(sim::simulate(config));
 }
 
+TEST(DeterminismTest, NinetyDayStudyIdenticalAcrossThreadCounts) {
+  // 90 days: 13 bins-of-week occurrences with a partial last week, so the
+  // concurrency pass folds several absolute bins onto each week key.
+  sim::SimConfig config = sim::SimConfig::quick();
+  config.fleet.size = 200;
+  config.study_days = 90;
+  expect_thread_invariant(sim::simulate(config));
+}
+
 TEST(DeterminismTest, PerArchetypeSlicesIdenticalAcrossThreadCounts) {
   // Each driving archetype stresses a different span shape (dense commuter
   // traces, sparse rare drivers); every slice must be thread-invariant.

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "core/load_view.h"
 #include "sim/simulator.h"
@@ -26,8 +27,15 @@ class ReportCsvTest : public ::testing::Test {
     return r;
   }
 
+  // Per-test directory: ctest runs the cases of this binary as parallel
+  // processes, and one case's TearDown must not delete another's files.
   std::string dir_ =
-      (std::filesystem::temp_directory_path() / "ccms_report_csv").string();
+      (std::filesystem::temp_directory_path() /
+       ("ccms_report_csv_" +
+        std::string(::testing::UnitTest::GetInstance()
+                        ->current_test_info()
+                        ->name())))
+          .string();
 
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

@@ -113,6 +113,19 @@ TEST(ExternalSortTest, SpillAccountingExact) {
   }
 }
 
+TEST(ExternalSortTest, RunCountSurvivesMerge) {
+  // perf_pipeline reads the spill accounting after merge(), which removes
+  // the run files: the count must still say how many runs were spilled,
+  // the tail run merge() spills included (100 records in runs of 16 -> 7).
+  const std::vector<KV> input = collision_input(100);
+  ExternalSorter<KV, ByKey> sorter(
+      {.spill_dir = spill_dir("run_count"), .run_records = 16});
+  for (const KV& kv : input) sorter.add(kv);
+  sorter.merge([](const KV&) {});
+  EXPECT_EQ(sorter.run_count(), 7u);
+  EXPECT_EQ(sorter.bytes_spilled(), 100u * sizeof(KV));
+}
+
 TEST(ExternalSortTest, EmptyInputEmitsNothing) {
   ExternalSorter<KV, ByKey> sorter({.spill_dir = spill_dir("empty")});
   std::size_t emitted = 0;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -86,24 +87,87 @@ TEST(ParallelReduceTest, MatchesSequentialSum) {
         pool, values.size(), /*chunk_size=*/64, [] { return 0.0; },
         [&](double& acc, std::size_t i) { acc += values[i]; },
         [](double& into, double from) { into += from; });
-    // Same chunk boundaries and merge order for every pool size => the
-    // exact same floating-point operation sequence, hence bitwise equality.
+    // Every partial sum of these half-integers is exact in a double, so
+    // the merge tree's grouping cannot round differently from the
+    // sequential accumulate.
     EXPECT_EQ(sum, expected) << "threads=" << threads;
   }
 }
 
+// Chunk counts around the tree's power-of-two boundaries, at pool widths
+// below, at and above them.
+constexpr std::size_t kTreeChunkCounts[] = {1, 2, 3, 5, 63, 64, 65};
+constexpr int kTreeWidths[] = {1, 2, 3, 8};
+
 TEST(ParallelReduceTest, ConcatenationPreservesIndexOrder) {
-  constexpr std::size_t kN = 503;  // not a multiple of the chunk size
-  for (const int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    const std::vector<std::size_t> out = parallel_reduce(
-        pool, kN, /*chunk_size=*/16, [] { return std::vector<std::size_t>{}; },
-        [](std::vector<std::size_t>& acc, std::size_t i) { acc.push_back(i); },
-        [](std::vector<std::size_t>& into, std::vector<std::size_t> from) {
-          into.insert(into.end(), from.begin(), from.end());
-        });
-    ASSERT_EQ(out.size(), kN);
-    for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(out[i], i);
+  // Concatenation is associative but not commutative: any merge that
+  // swapped its operands or joined non-adjacent ranges would show.
+  constexpr std::size_t kChunk = 16;
+  for (const std::size_t chunks : kTreeChunkCounts) {
+    for (const int threads : kTreeWidths) {
+      SCOPED_TRACE(testing::Message()
+                   << "chunks=" << chunks << " threads=" << threads);
+      ThreadPool pool(threads);
+      const std::size_t n = chunks * kChunk - 5;  // short last chunk
+      const std::vector<std::size_t> out = parallel_reduce(
+          pool, n, kChunk, [] { return std::vector<std::size_t>{}; },
+          [](std::vector<std::size_t>& acc, std::size_t i) {
+            acc.push_back(i);
+          },
+          [](std::vector<std::size_t>& into, std::vector<std::size_t> from) {
+            into.insert(into.end(), from.begin(), from.end());
+          });
+      ASSERT_EQ(out.size(), n);
+      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], i);
+    }
+  }
+}
+
+TEST(ParallelReduceTest, TreeMergesAdjacentRangesOnce) {
+  // Each accumulator is the item range it covers; every merge is recorded.
+  struct Range {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    bool empty = true;
+  };
+  struct Merge {
+    Range into;
+    Range from;
+  };
+  for (const std::size_t chunks : kTreeChunkCounts) {
+    for (const int threads : kTreeWidths) {
+      SCOPED_TRACE(testing::Message()
+                   << "chunks=" << chunks << " threads=" << threads);
+      ThreadPool pool(threads);
+      constexpr std::size_t kChunk = 4;
+      const std::size_t n = chunks * kChunk - 1;  // short last chunk
+      std::mutex mutex;
+      std::vector<Merge> merges;
+      const Range all = parallel_reduce(
+          pool, n, kChunk, [] { return Range{}; },
+          [](Range& acc, std::size_t i) {
+            if (acc.empty) acc = Range{i, i, false};
+            EXPECT_EQ(acc.end, i);
+            acc.end = i + 1;
+          },
+          [&](Range& into, Range&& from) {
+            {
+              const std::lock_guard<std::mutex> lock(mutex);
+              merges.push_back(Merge{into, from});
+            }
+            into.end = from.end;
+          });
+      EXPECT_EQ(all.begin, 0u);
+      EXPECT_EQ(all.end, n);
+      ASSERT_EQ(merges.size(), chunks - 1);
+      for (const Merge& m : merges) {
+        EXPECT_FALSE(m.into.empty);
+        EXPECT_FALSE(m.from.empty);
+        EXPECT_LT(m.into.begin, m.into.end);
+        EXPECT_EQ(m.into.end, m.from.begin) << "ranges not adjacent";
+        EXPECT_LT(m.from.begin, m.from.end);
+      }
+    }
   }
 }
 
