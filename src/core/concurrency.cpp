@@ -25,11 +25,10 @@ std::vector<int> bin_occurrences(int study_days) {
 
 }  // namespace
 
-ConcurrencyGrid ConcurrencyGrid::build(const cdr::Dataset& dataset,
-                                       time::Seconds session_gap) {
-  // Per car, the distinct (cell, absolute 15-minute bin) pairs its session
-  // legs straddle; the accumulator counts them across cars per week bin.
-  ConcurrencyCountsAccumulator acc(dataset.study_days(), session_gap);
+ConcurrencyGrid ConcurrencyGrid::build(const cdr::Dataset& dataset) {
+  // Per car, the distinct (cell, absolute 15-minute bin) pairs its records
+  // straddle; the accumulator counts them across cars per week bin.
+  ConcurrencyCountsAccumulator acc(dataset.study_days());
   dataset.for_each_car([&](CarId car, std::span<const cdr::Connection> conns) {
     acc.add_car(car, conns);
   });

@@ -5,9 +5,11 @@
 // cars per 15-minute bin of the week (Fig 10 plots one week of this next to
 // the cell's U_PRB) and its 96-bin daily fold (the vectors Fig 11 clusters).
 //
-// Cars are counted through their *aggregated sessions* (§3's 30-second
-// concatenation), so a car briefly bouncing between connections within a bin
-// counts once.
+// A car counts once per (cell, absolute bin) it occupies: the distinct-car
+// dedup is per (car, cell, absolute 15-minute bin), so a car bouncing
+// between connections on one cell within a bin, or holding overlapping
+// connections there, counts once. Sessions play no part — the union of a
+// car's session legs on a cell is the union of its records there.
 #pragma once
 
 #include <optional>
@@ -15,7 +17,6 @@
 #include <vector>
 
 #include "cdr/dataset.h"
-#include "cdr/session.h"
 #include "util/time.h"
 
 namespace ccms::core {
@@ -44,10 +45,8 @@ struct CellConcurrency {
 /// Per-cell concurrency over a whole study.
 class ConcurrencyGrid {
  public:
-  /// Builds the grid from a finalized (cleaned) dataset. `session_gap` is
-  /// the aggregation gap (§3: 30 s).
-  [[nodiscard]] static ConcurrencyGrid build(
-      const cdr::Dataset& dataset, time::Seconds session_gap = cdr::kSessionGap);
+  /// Builds the grid from a finalized (cleaned) dataset.
+  [[nodiscard]] static ConcurrencyGrid build(const cdr::Dataset& dataset);
 
   /// Builds the grid from the run-length form of the distinct-car
   /// observations, keyed (cell << kWeekBinBits) | bin_of_week: strictly

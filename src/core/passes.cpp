@@ -121,19 +121,29 @@ void DayBits::merge(const DayBits& other) {
 
 // --- Presence ---------------------------------------------------------------
 
-PresenceAccumulator::PresenceAccumulator(int study_days)
+PresenceAccumulator::PresenceAccumulator(int study_days, std::size_t cells)
     : days_(std::max(1, study_days)),
-      cars_per_day_(static_cast<std::size_t>(days_), 0) {}
+      words_per_cell_((static_cast<std::size_t>(days_) + 63) / 64),
+      cars_per_day_(static_cast<std::size_t>(days_), 0),
+      cell_words_(cells * words_per_cell_, 0),
+      touched_(cells, 0) {}
 
 void PresenceAccumulator::add_car(CarId /*car*/,
                                   std::span<const cdr::Connection> records) {
   scratch_.reset();
   for (const cdr::Connection& c : records) {
+    const std::size_t cell = c.cell.value;
+    if (cell >= touched_.size()) {
+      touched_.resize(cell + 1, 0);
+      cell_words_.resize(touched_.size() * words_per_cell_, 0);
+    }
+    touched_[cell] = 1;
+    std::uint64_t* words = cell_words_.data() + cell * words_per_cell_;
+    // study_day_range clamps into [0, days_ - 1], so every word is in range.
     const DayRange range = study_day_range(c.start, c.end(), days_);
-    DayBits& cell_bits = cell_days_[c.cell.value];
     for (std::int64_t d = range.first; d <= range.last; ++d) {
       if (scratch_.set(d)) ++cars_per_day_[static_cast<std::size_t>(d)];
-      cell_bits.set(d);
+      words[d / 64] |= std::uint64_t{1} << (d % 64);
     }
   }
 }
@@ -142,21 +152,30 @@ void PresenceAccumulator::merge(PresenceAccumulator&& other) {
   for (std::size_t d = 0; d < cars_per_day_.size(); ++d) {
     cars_per_day_[d] += other.cars_per_day_[d];
   }
-  for (auto& [cell, bits] : other.cell_days_) {
-    cell_days_[cell].merge(bits);
+  if (other.touched_.size() > touched_.size()) {
+    touched_.resize(other.touched_.size(), 0);
+    cell_words_.resize(other.cell_words_.size(), 0);
+  }
+  for (std::size_t i = 0; i < other.touched_.size(); ++i) {
+    touched_[i] |= other.touched_[i];
+  }
+  for (std::size_t i = 0; i < other.cell_words_.size(); ++i) {
+    cell_words_[i] |= other.cell_words_[i];
   }
 }
 
 DailyPresence PresenceAccumulator::finalize(std::uint32_t fleet_size) const {
   DailyPresence result;
   result.fleet_size = fleet_size;
-  result.ever_touched_cells = cell_days_.size();
+  result.ever_touched_cells = static_cast<std::size_t>(
+      std::count(touched_.begin(), touched_.end(), std::uint8_t{1}));
 
   const auto n_days = static_cast<std::size_t>(days_);
   std::vector<std::uint32_t> cells_per_day(n_days, 0);
-  for (const auto& [cell, bits] : cell_days_) {
+  for (std::size_t cell = 0; cell < touched_.size(); ++cell) {
+    const std::uint64_t* words = cell_words_.data() + cell * words_per_cell_;
     for (std::size_t d = 0; d < n_days; ++d) {
-      if (bits.test(static_cast<std::int64_t>(d))) ++cells_per_day[d];
+      if ((words[d / 64] >> (d % 64)) & 1U) ++cells_per_day[d];
     }
   }
 
@@ -422,39 +441,65 @@ CarrierUsage CarrierUsageAccumulator::finalize() const {
 
 // --- Concurrency counts -----------------------------------------------------
 
-ConcurrencyCountsAccumulator::ConcurrencyCountsAccumulator(
-    int study_days, time::Seconds session_gap)
+namespace {
+
+/// Per-thread dedup state for ConcurrencyCountsAccumulator::add_car:
+/// `last[cell]` is the highest absolute bin the current car has emitted on
+/// that cell, valid only where `seen[cell]` equals the car's stamp. Kept
+/// thread_local, like the columnar decode scratch, so it costs nothing per
+/// partial and needs no clearing between cars.
+struct ConcurrencyScratch {
+  std::uint32_t stamp = 0;
+  std::vector<std::uint32_t> seen;
+  std::vector<std::int64_t> last;
+};
+
+ConcurrencyScratch& concurrency_scratch() {
+  thread_local ConcurrencyScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+ConcurrencyCountsAccumulator::ConcurrencyCountsAccumulator(int study_days)
     : total_bins_(static_cast<std::int64_t>(std::max(1, study_days)) *
-                  time::kBins15PerDay),
-      session_gap_(session_gap) {}
+                  time::kBins15PerDay) {}
 
 void ConcurrencyCountsAccumulator::add_car(
     CarId /*car*/, std::span<const cdr::Connection> records) {
-  // Deduplicate on absolute bins, so a car counts once per bin it occupies;
-  // then fold each bin onto its bin of the week (the study starts on a
-  // Monday, so absolute bin b is week bin b mod 672).
-  scratch_.clear();
-  const auto sessions = cdr::aggregate_sessions(records, session_gap_);
-  for (const cdr::Session& s : sessions) {
-    for (const cdr::SessionLeg& leg : s.legs) {
-      const std::int64_t b0 = std::clamp<std::int64_t>(
-          leg.when.start / time::kSecondsPerBin15, 0, total_bins_ - 1);
-      const std::int64_t b1 = std::clamp<std::int64_t>(
-          (leg.when.end - 1) / time::kSecondsPerBin15, 0, total_bins_ - 1);
-      for (std::int64_t b = b0; b <= b1; ++b) {
-        scratch_.push_back(
-            (static_cast<std::uint64_t>(leg.cell.value) << 24) |
-            static_cast<std::uint64_t>(b));
-      }
-    }
+  // Emit each distinct (cell, absolute bin) the car occupies once, folded
+  // onto its bin of the week (the study starts on a Monday, so absolute bin
+  // b is week bin b mod 672). Records arrive in start order, so a record's
+  // first bin b0 is at least every earlier record's: on its cell, the bins
+  // already emitted at or after b0 are exactly [b0, last[cell]], and only
+  // the bins after last[cell] are new.
+  ConcurrencyScratch& s = concurrency_scratch();
+  if (++s.stamp == 0) {
+    std::fill(s.seen.begin(), s.seen.end(), 0);
+    s.stamp = 1;
   }
-  std::sort(scratch_.begin(), scratch_.end());
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                 scratch_.end());
-  constexpr auto kWeek = static_cast<std::uint64_t>(time::kBins15PerWeek);
-  for (const std::uint64_t key : scratch_) {
-    pending_.push_back(((key >> 24) << kWeekBinBits) |
-                       ((key & 0xFFFFFFu) % kWeek));
+  constexpr std::int64_t kWeek = time::kBins15PerWeek;
+  for (const cdr::Connection& c : records) {
+    const std::int64_t b0 = std::clamp<std::int64_t>(
+        c.start / time::kSecondsPerBin15, 0, total_bins_ - 1);
+    const std::int64_t b1 = std::clamp<std::int64_t>(
+        (c.end() - 1) / time::kSecondsPerBin15, 0, total_bins_ - 1);
+    const std::size_t cell = c.cell.value;
+    if (cell >= s.seen.size()) {
+      s.seen.resize(cell + 1, 0);
+      s.last.resize(cell + 1, 0);
+    }
+    std::int64_t b = b0;
+    if (s.seen[cell] == s.stamp) b = std::max(b, s.last[cell] + 1);
+    if (b > b1) continue;
+    s.seen[cell] = s.stamp;
+    s.last[cell] = b1;
+    const std::uint64_t base = static_cast<std::uint64_t>(cell)
+                               << kWeekBinBits;
+    for (std::int64_t week_bin = b % kWeek; b <= b1; ++b) {
+      pending_.push_back(base | static_cast<std::uint64_t>(week_bin));
+      if (++week_bin == kWeek) week_bin = 0;
+    }
   }
   if (pending_.size() >= kPassFlushRecords) flush_pending();
 }

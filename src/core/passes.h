@@ -26,7 +26,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -53,10 +52,16 @@ inline constexpr std::size_t kPassFlushRecords = std::size_t{1} << 16;
 
 /// Fig 2 / Table 1 pass: per-day distinct-car counts (cars partition across
 /// chunks, so counts add) and per-cell day bitsets (cells span chunks, so
-/// sets OR together).
+/// sets OR together). The bitsets are dense: one flat array of
+/// ceil(study_days / 64) words per cell id plus a touched flag per cell, so
+/// the fold is an indexed OR and a merge is two elementwise ORs. The flag,
+/// not the bits, decides whether a cell counts as ever touched: a cell whose
+/// only records have empty day ranges is touched with no day set.
 class PresenceAccumulator {
  public:
-  explicit PresenceAccumulator(int study_days);
+  /// `cells` pre-sizes the per-cell arrays (the cell table's size); a
+  /// record naming a cell beyond it grows them.
+  explicit PresenceAccumulator(int study_days, std::size_t cells = 0);
 
   void add_car(CarId car, std::span<const cdr::Connection> records);
   void merge(PresenceAccumulator&& other);
@@ -64,8 +69,10 @@ class PresenceAccumulator {
 
  private:
   int days_ = 1;
+  std::size_t words_per_cell_ = 1;
   std::vector<std::uint32_t> cars_per_day_;
-  std::unordered_map<std::uint32_t, DayBits> cell_days_;
+  std::vector<std::uint64_t> cell_words_;  ///< cell * words_per_cell_ + d/64
+  std::vector<std::uint8_t> touched_;      ///< 1 = cell seen in a record
   DayBits scratch_;
 };
 
@@ -166,13 +173,15 @@ class CarrierUsageAccumulator {
 /// and aggregated into sorted (key, multiplicity) runs. Figs 10/11 are
 /// per-cell averages over the 672 bins of the week, so the week fold is
 /// exact and keeps O(cells x 672) keys whatever the study length, instead
-/// of O(observations). Raw per-car keys buffer in `pending_` and are
-/// sorted + merge-joined into the run store every kPassFlushRecords. The
-/// runs are a canonical encoding of the observation multiset, so merges
-/// commute.
+/// of O(observations). add_car needs the car's records in start order: it
+/// deduplicates per (cell, absolute bin) without sorting, from the highest
+/// bin each cell has emitted so far (per-thread scratch, not per-partial
+/// state). Week keys buffer in `pending_` and are sorted + merge-joined
+/// into the run store every kPassFlushRecords. The runs are a canonical
+/// encoding of the observation multiset, so merges commute.
 class ConcurrencyCountsAccumulator {
  public:
-  ConcurrencyCountsAccumulator(int study_days, time::Seconds session_gap);
+  explicit ConcurrencyCountsAccumulator(int study_days);
 
   void add_car(CarId car, std::span<const cdr::Connection> records);
   void merge(ConcurrencyCountsAccumulator&& other);
@@ -186,12 +195,9 @@ class ConcurrencyCountsAccumulator {
   void flush_pending();
 
   std::int64_t total_bins_ = 0;
-  time::Seconds session_gap_ = cdr::kSessionGap;
-  std::vector<std::uint64_t> pending_;  ///< per-car week keys, unflushed
+  std::vector<std::uint64_t> pending_;  ///< week keys, unflushed
   std::vector<std::uint64_t> keys_;     ///< sorted, unique
   std::vector<std::uint64_t> counts_;   ///< multiplicity per key
-  /// One car's (cell << 24) | absolute_bin keys, deduplicated per car.
-  std::vector<std::uint64_t> scratch_;
 };
 
 /// Fig 9 pass: connection durations and the truncated-duration sum, exact

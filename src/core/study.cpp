@@ -12,13 +12,13 @@ namespace ccms::core {
 
 StudySweep::StudySweep(int study_days, const net::CellTable& cells,
                        const CellLoad& load, const StudyOptions& options)
-    : presence_(study_days),
+    : presence_(study_days, cells.size()),
       connected_(study_days, options.truncation_cap),
       days_(study_days),
       busy_(&load, options.busy_prb_threshold),
       handovers_(&cells, cdr::kJourneyGap),
       carriers_(&cells),
-      concurrency_(study_days, cdr::kSessionGap),
+      concurrency_(study_days),
       cell_sessions_(options.truncation_cap) {}
 
 void StudySweep::add_car(CarId car, std::span<const cdr::Connection> records) {

@@ -2,48 +2,49 @@
 // holding the records in memory.
 //
 // The sweep folds car-aligned column blocks through the same StudySweep
-// run_study uses, in fixed-size block chunks merged in ascending order. Determinism and exactness rest on three properties,
-// argued in DESIGN.md §13:
+// run_study uses, one block per exec::parallel_reduce item, in fixed
+// windows of kWindowBlocks blocks. Determinism and exactness rest on three
+// properties, argued in DESIGN.md §13:
 //
-//   1. Blocks are car-aligned, so every chunk boundary is a car boundary
+//   1. Blocks are car-aligned, so every block boundary is a car boundary
 //      and the accumulators' "other's ids strictly after ours" merge
-//      contract holds for any fixed chunk partition.
-//   2. The chunk partition is a function of the file alone (never of the
-//      thread count), and chunks merge in ascending order — so every pool
+//      contract holds for any partition into block ranges.
+//   2. The window partition and each window's merge tree are functions of
+//      the file alone (never of the thread count), and window results
+//      merge into the running total in ascending order — so every pool
 //      width folds and merges the identical operation sequence.
 //   3. Record screening resets its previous-record state at every block
 //      boundary on the sequential path too (see cdr::RecordScreen), so the
-//      per-chunk ingest accounting tiles exactly.
+//      per-block ingest accounting tiles exactly.
 //
-// Memory: chunks are folded in waves of a few per thread; each wave's
-// partials merge into the running total before the next wave starts, so at
-// most O(threads) chunk partials are ever alive, each holding run-length
-// state sized by distinct values, not records. Consumed blocks are dropped
-// from the page cache as the sweep passes them.
+// Memory: at most kWindowBlocks single-block partials plus the running
+// total are alive at once, each holding state sized by the cell table and
+// by distinct values, not by records. Consumed blocks are dropped from the page cache as each
+// window completes.
 
 #include "core/study.h"
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cdr/columnar.h"
 #include "core/study_sweep.h"
+#include "exec/parallel.h"
 #include "exec/thread_pool.h"
 
 namespace ccms::core {
 
 namespace {
 
-/// Blocks folded per chunk. Fixed — never derived from the thread count —
-/// so the merge sequence (and with it every figure) is identical for every
-/// pool width.
-constexpr std::size_t kBlocksPerChunk = 4;
+/// Blocks folded per window, one block per parallel_reduce item. Fixed —
+/// never derived from the thread count — so the merge sequence (and with it
+/// every figure) is identical for every pool width.
+constexpr std::size_t kWindowBlocks = 32;
 
-/// All per-chunk sweep state: ingest accounting, the fleet-size witness and
+/// All per-block sweep state: ingest accounting, the fleet-size witness and
 /// the study sweep proper (clean accounting and every pass).
 struct ColumnarSweep {
   cdr::IngestReport ingest;
@@ -66,8 +67,8 @@ struct ColumnarSweep {
 };
 
 /// Per-thread decode and per-car staging buffers. Kept thread_local rather
-/// than inside the chunk accumulators so scratch capacity scales with the
-/// thread count, not the chunk count.
+/// than inside the block partials so scratch capacity scales with the
+/// thread count, not the window width.
 struct DecodeScratch {
   cdr::ColumnBlock block;
   std::vector<cdr::Connection> car;  ///< one car's cleaned records
@@ -142,36 +143,26 @@ StudyReport run_columnar_impl(const cdr::ColumnarFile& file,
   file.advise_sequential();
 
   const std::size_t n_blocks = file.blocks().size();
-  const std::size_t chunks = (n_blocks + kBlocksPerChunk - 1) / kBlocksPerChunk;
   const std::size_t cap = options.ingest.quarantine_cap;
 
   ColumnarSweep total(study_days, cells, load, options);
-  // Fold in waves of a few chunks per thread; merge each wave (ascending)
-  // into the running total before the next starts. The wave width only
-  // schedules work — the fold/merge sequence, hence the result, is the
-  // same for every width.
-  const std::size_t wave =
-      std::max<std::size_t>(std::size_t{2} * static_cast<std::size_t>(
-                                                 std::max(1, pool.size())),
-                            2);
-  std::vector<std::optional<ColumnarSweep>> partials(std::min(wave, chunks));
-  for (std::size_t first = 0; first < chunks; first += wave) {
-    const std::size_t count = std::min(wave, chunks - first);
-    pool.parallel_for(count, [&](std::size_t i) {
-      ColumnarSweep acc(study_days, cells, load, options);
-      const std::size_t lo = (first + i) * kBlocksPerChunk;
-      const std::size_t hi = std::min(n_blocks, lo + kBlocksPerChunk);
-      for (std::size_t b = lo; b < hi; ++b) {
-        fold_block(acc, file, b, options, label);
-      }
-      partials[i].emplace(std::move(acc));
-    });
-    for (std::size_t i = 0; i < count; ++i) {
-      total.merge(std::move(*partials[i]), cap);
-      partials[i].reset();
-    }
-    file.drop_consumed(first * kBlocksPerChunk,
-                       std::min(n_blocks, (first + count) * kBlocksPerChunk));
+  // Each window folds its blocks in parallel and merges them in
+  // parallel_reduce's fixed-shape tree; the window result then merges
+  // (ascending) into the running total before the next window starts.
+  for (std::size_t first = 0; first < n_blocks; first += kWindowBlocks) {
+    const std::size_t count = std::min(kWindowBlocks, n_blocks - first);
+    total.merge(
+        exec::parallel_reduce(
+            pool, count, /*chunk_size=*/1,
+            [&] { return ColumnarSweep(study_days, cells, load, options); },
+            [&](ColumnarSweep& acc, std::size_t i) {
+              fold_block(acc, file, first + i, options, label);
+            },
+            [&](ColumnarSweep& into, ColumnarSweep&& from) {
+              into.merge(std::move(from), cap);
+            }),
+        cap);
+    file.drop_consumed(first, first + count);
   }
 
   // The fleet-size bump Dataset::finalize applies: accepted records can

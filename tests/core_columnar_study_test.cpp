@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -37,19 +38,21 @@ StudyOptions columnar_options() {
 
 /// CCDR2 bytes of the fixture's raw dataset with deliberately small blocks,
 /// so the streaming sweep sees many blocks (and several executor chunks)
-/// even at test scale.
-std::string small_block_buffer() {
-  static const std::string bytes = [] {
+/// even at test scale. A block closes at the first car boundary after
+/// `block_records` records.
+std::string small_block_buffer(std::size_t block_records = 512) {
+  static std::map<std::size_t, std::string> cache;
+  auto [it, fresh] = cache.try_emplace(block_records);
+  if (fresh) {
     const sim::Study& study = fixture_study();
     std::ostringstream out(std::ios::binary);
     cdr::ColumnarWriter writer(out, study.raw.fleet_size(),
-                               study.raw.study_days(),
-                               /*block_records=*/512);
+                               study.raw.study_days(), block_records);
     for (const cdr::Connection& c : study.raw.all()) writer.add(c);
     writer.finish();
-    return out.str();
-  }();
-  return bytes;
+    it->second = out.str();
+  }
+  return it->second;
 }
 
 TEST(ColumnarStudyTest, RoundTripReproducesEveryFigureBitwise) {
@@ -191,6 +194,82 @@ TEST(ColumnarStudyTest, StrictModeThrowsOnCorruptBlock) {
   EXPECT_THROW(run_study_columnar_buffer(bytes, study.topology.cells(), load,
                                          options),
                util::CsvError);
+}
+
+TEST(ColumnarStudyTest, StrictModeNamesTheFirstCorruptBlockAtEveryWidth) {
+  // Two adjacent corrupt blocks in one fold window, so on a wide pool they
+  // fail at about the same time on different threads: whichever fails
+  // first, the sweep must throw the first block's fault, as a sequential
+  // read does.
+  const sim::Study& study = fixture_study();
+  const CellLoad load = CellLoad::from_background(study.background);
+  std::string bytes = small_block_buffer();
+  {
+    StudyOptions probe_options = columnar_options();
+    cdr::IngestReport probe;
+    const cdr::ColumnarFile file =
+        cdr::ColumnarFile::from_buffer(bytes, probe_options.ingest, probe);
+    ASSERT_GE(file.blocks().size(), 8u);
+    bytes[static_cast<std::size_t>(file.blocks()[3].offset + 3)] ^= 0x08;
+    bytes[static_cast<std::size_t>(file.blocks()[4].offset + 3)] ^= 0x08;
+  }
+  StudyOptions options = columnar_options();
+  options.ingest.mode = cdr::ParseMode::kStrict;
+  for (const int width : {1, 2, 8}) {
+    options.threads = width;
+    for (int round = 0; round < 5; ++round) {
+      try {
+        (void)run_study_columnar_buffer(bytes, study.topology.cells(), load,
+                                        options);
+        ADD_FAILURE() << "no throw at width " << width;
+      } catch (const util::CsvError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("block 3 "), std::string::npos)
+            << "width " << width << ": " << what;
+      }
+    }
+  }
+}
+
+TEST(ColumnarStudyTest, MultiWindowSweepEqualsMaterializedStudy) {
+  // More than two 32-block fold windows, at widths below, at and above the
+  // window's tree levels; then again with a lenient corrupt block in the
+  // second window.
+  const sim::Study& study = fixture_study();
+  const CellLoad load = CellLoad::from_background(study.background);
+  const StudyOptions options = columnar_options();
+  std::string bytes = small_block_buffer(/*block_records=*/64);
+
+  const auto check_all_widths = [&](const std::string& buffer) {
+    cdr::IngestReport ingest;
+    const cdr::Dataset round =
+        cdr::read_columnar_buffer(buffer, options.ingest, ingest);
+    StudyReport materialized =
+        run_study(round, study.topology.cells(), load, options);
+    materialized.ingest = ingest;
+    for (const int width : {1, 2, 3, 8}) {
+      StudyOptions wide = options;
+      wide.threads = width;
+      const StudyReport swept = run_study_columnar_buffer(
+          buffer, study.topology.cells(), load, wide);
+      std::string why;
+      EXPECT_TRUE(study_reports_identical(materialized, swept, &why))
+          << "width " << width << ": " << why;
+    }
+    return ingest;
+  };
+
+  cdr::IngestReport probe;
+  const cdr::ColumnarFile file =
+      cdr::ColumnarFile::from_buffer(bytes, options.ingest, probe);
+  ASSERT_GT(file.blocks().size(), 64u);
+  const std::uint64_t offset = file.blocks()[40].offset + 5;
+  check_all_widths(bytes);
+
+  bytes[static_cast<std::size_t>(offset)] ^= 0x10;
+  const cdr::IngestReport corrupt = check_all_widths(bytes);
+  EXPECT_EQ(corrupt.count(cdr::FaultClass::kChecksumMismatch), 1u);
+  EXPECT_GT(corrupt.records_dropped, 0u);
 }
 
 TEST(ColumnarStudyTest, ComparatorReportsFirstDivergence) {

@@ -5,12 +5,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <random>
 #include <set>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "cdr/clean.h"
+#include "core/passes.h"
 #include "test_helpers.h"
 
 namespace ccms::core {
@@ -19,6 +21,7 @@ namespace {
 using test::conn;
 using test::make_dataset;
 using time::at;
+using time::kSecondsPerDay;
 
 TEST(ConcurrencyTest, EmptyDataset) {
   cdr::Dataset d;
@@ -267,6 +270,111 @@ TEST(ConcurrencyTest, NinetyDayGridMatchesNaiveReference) {
     }
     EXPECT_EQ(profile->peak, *std::max_element(profile->weekly.begin(),
                                                profile->weekly.end()));
+  }
+}
+
+/// Naive Fig 10/11 counts: per car, the std::set of (cell, absolute bin)
+/// pairs its records straddle (bins clamped into the study, as the grid
+/// does), folded onto (cell << kWeekBinBits) | bin_of_week and counted.
+std::map<std::uint64_t, std::uint64_t> naive_week_counts(
+    const std::vector<std::vector<cdr::Connection>>& cars, int days) {
+  const std::int64_t bins = std::int64_t{days} * time::kBins15PerDay;
+  std::map<std::uint64_t, std::uint64_t> counts;
+  for (const auto& records : cars) {
+    std::set<std::pair<std::uint32_t, std::int64_t>> seen;
+    for (const cdr::Connection& c : records) {
+      const std::int64_t b0 = std::clamp<std::int64_t>(
+          c.start / time::kSecondsPerBin15, 0, bins - 1);
+      const std::int64_t b1 = std::clamp<std::int64_t>(
+          (c.end() - 1) / time::kSecondsPerBin15, 0, bins - 1);
+      for (std::int64_t b = b0; b <= b1; ++b) seen.insert({c.cell.value, b});
+    }
+    for (const auto& [cell, b] : seen) {
+      ++counts[(std::uint64_t{cell} << kWeekBinBits) |
+               static_cast<std::uint64_t>(b % time::kBins15PerWeek)];
+    }
+  }
+  return counts;
+}
+
+/// Folds `cars` through ConcurrencyCountsAccumulator in two partials split
+/// at `split` (merged in car order) and returns the run-length counts.
+std::map<std::uint64_t, std::uint64_t> accumulated_week_counts(
+    const std::vector<std::vector<cdr::Connection>>& cars, int days,
+    std::size_t split) {
+  ConcurrencyCountsAccumulator head(days);
+  ConcurrencyCountsAccumulator tail(days);
+  for (std::size_t i = 0; i < cars.size(); ++i) {
+    (i < split ? head : tail).add_car(cars[i].front().car, cars[i]);
+  }
+  head.merge(std::move(tail));
+  const auto [keys, counts] = std::move(head).take_counts();
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  std::map<std::uint64_t, std::uint64_t> out;
+  for (std::size_t i = 0; i < keys.size(); ++i) out[keys[i]] = counts[i];
+  EXPECT_EQ(out.size(), keys.size()) << "duplicate keys";
+  return out;
+}
+
+TEST(ConcurrencyTest, CountsKernelMatchesPerCarSetReference) {
+  constexpr int kDays = 14;
+  const time::Seconds end = time::Seconds{kDays} * kSecondsPerDay;
+  const std::vector<std::vector<cdr::Connection>> cars = {
+      // A-B-A switches inside one bin, then back to A in the next bin.
+      {conn(0, 1, at(0, 8, 0) + 10, 60), conn(0, 2, at(0, 8, 1) + 30, 60),
+       conn(0, 1, at(0, 8, 3), 60), conn(0, 1, at(0, 8, 14), 120)},
+      // A long record containing a shorter one on the same cell, then one
+      // that starts inside it and runs past its end.
+      {conn(1, 3, at(2, 9), 7200), conn(1, 3, at(2, 9, 40), 300),
+       conn(1, 4, at(2, 9, 50), 60), conn(1, 3, at(2, 10, 50), 1800)},
+      // Bins clamped at the study start and end: a record from before the
+      // start, a zero-length one at the start, a negative-duration one, and
+      // two past the end that clamp onto the same last bin.
+      {conn(2, 5, -2000, 3000), conn(2, 5, 0, 0), conn(2, 6, 400, -30),
+       conn(2, 5, end - 600, 5000), conn(2, 5, end + 100, 60)},
+      // The same cell-bins as car 0 from another car count again.
+      {conn(3, 1, at(0, 8, 2), 30), conn(3, 2, at(0, 8, 5), 30)},
+  };
+  const auto expected = naive_week_counts(cars, kDays);
+  for (std::size_t split = 0; split <= cars.size(); ++split) {
+    EXPECT_EQ(accumulated_week_counts(cars, kDays, split), expected)
+        << "split " << split;
+  }
+  // Spot-check the reference itself: cell 1's Monday 08:00 bin holds cars
+  // 0 and 3 once each, despite car 0's A-B-A switches.
+  const std::uint64_t monday_8 =
+      (std::uint64_t{1} << kWeekBinBits) |
+      static_cast<std::uint64_t>(time::bin15_of_week(at(0, 8)));
+  EXPECT_EQ(expected.at(monday_8), 2u);
+}
+
+TEST(ConcurrencyTest, CountsKernelMatchesReferenceOnRandomCars) {
+  // Random cars with overlapping records on a handful of cells, durations
+  // down to negative, starts from before the study to past its end.
+  constexpr int kDays = 9;
+  const time::Seconds horizon = time::Seconds{kDays} * kSecondsPerDay;
+  std::mt19937_64 rng(20170901);
+  std::vector<std::vector<cdr::Connection>> cars;
+  for (std::uint32_t car = 0; car < 60; ++car) {
+    std::vector<cdr::Connection> records;
+    const std::size_t n = 1 + rng() % 40;
+    for (std::size_t i = 0; i < n; ++i) {
+      const time::Seconds start =
+          static_cast<time::Seconds>(rng() % (horizon + 4000)) - 2000;
+      const auto duration = static_cast<std::int32_t>(rng() % 4000) - 200;
+      records.push_back(conn(car, static_cast<std::uint32_t>(rng() % 6),
+                             start, duration));
+    }
+    std::sort(records.begin(), records.end(),
+              [](const cdr::Connection& a, const cdr::Connection& b) {
+                return a.start < b.start;
+              });
+    cars.push_back(std::move(records));
+  }
+  const auto expected = naive_week_counts(cars, kDays);
+  for (const std::size_t split : {std::size_t{0}, std::size_t{31}}) {
+    EXPECT_EQ(accumulated_week_counts(cars, kDays, split), expected)
+        << "split " << split;
   }
 }
 

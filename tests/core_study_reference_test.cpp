@@ -36,7 +36,7 @@ StudyReport reference_study(const cdr::Dataset& raw,
   report.handovers = analyze_handovers(cleaned, cells, cdr::kJourneyGap);
   report.carriers = analyze_carrier_usage(cleaned, cells);
   report.clusters = cluster_busy_cells(
-      ConcurrencyGrid::build(cleaned, cdr::kSessionGap), load,
+      ConcurrencyGrid::build(cleaned), load,
       options.cluster_load_threshold, options.cluster_k, options.cluster_seed);
   return report;
 }

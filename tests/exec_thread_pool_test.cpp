@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/parallel.h"
@@ -67,6 +69,29 @@ TEST(ThreadPoolTest, ExceptionPropagatesAndPoolStaysUsable) {
   std::atomic<int> calls{0};
   pool.parallel_for(100, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 100);
+}
+
+TEST(ThreadPoolTest, RethrowsTheLowestThrowingIndex) {
+  // Index 5 throws late (after a sleep), index 50 throws at once: in
+  // completion order 50 comes first on any pool wider than 1, but a
+  // sequential loop would throw 5's, and so must every width.
+  for (const int width : {1, 2, 4, 8}) {
+    ThreadPool pool(width);
+    for (int round = 0; round < 3; ++round) {
+      try {
+        pool.parallel_for(100, [&](std::size_t i) {
+          if (i == 5) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            throw std::runtime_error("index 5");
+          }
+          if (i == 50) throw std::runtime_error("index 50");
+        });
+        ADD_FAILURE() << "no exception at width " << width;
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "index 5") << "width " << width;
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ResolveThreads) {
