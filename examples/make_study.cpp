@@ -6,13 +6,15 @@
 //   make_study [--cars N] [--days N] [--seed S] [--grid W]
 //              [--anonymize SALT] [--out PATH]
 //
-// The output format follows the extension: .csv or .bin (CCDR1).
+// The output format follows the extension: .ccdr2 (the columnar binary
+// format run_study_columnar streams) or anything else for CSV.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "cdr/anonymize.h"
+#include "cdr/columnar.h"
 #include "cdr/io.h"
 #include "sim/simulator.h"
 
@@ -21,7 +23,7 @@ namespace {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--cars N] [--days N] [--seed S] [--grid W]\n"
-               "          [--anonymize SALT] [--out PATH(.csv|.bin)]\n",
+               "          [--anonymize SALT] [--out PATH(.csv|.ccdr2)]\n",
                argv0);
   std::exit(2);
 }
@@ -77,10 +79,12 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(salt));
   }
 
-  const bool binary = out.size() > 4 && out.substr(out.size() - 4) == ".bin";
+  // Both the simulated trace and cdr::anonymize's output are finalized, so
+  // the records are already in the order CCDR2 requires.
+  const bool binary = out.ends_with(".ccdr2");
   try {
     if (binary) {
-      cdr::write_binary(dataset, out);
+      cdr::write_columnar(dataset, out);
     } else {
       cdr::write_csv(dataset, out);
     }
@@ -89,6 +93,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(stderr, "wrote %zu records to %s (%s)\n", dataset.size(),
-               out.c_str(), binary ? "CCDR1 binary" : "CSV");
+               out.c_str(), binary ? "CCDR2 columnar" : "CSV");
   return 0;
 }

@@ -1,12 +1,12 @@
 #include "cdr/columnar.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "util/binio.h"
 #include "util/csv.h"
 
 #ifdef __unix__
@@ -33,30 +33,6 @@ struct ColumnarHeader {
   std::uint64_t index_offset;
 };
 static_assert(sizeof(ColumnarHeader) == 40);
-
-// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) — the same framing the
-// checkpoint format uses, so a flipped bit in a block payload is detected
-// exactly like one in a checkpoint section.
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
-  static constexpr auto kTable = make_crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = kTable[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 /// Header/index fault handling shared by strict and lenient opens: strict
 /// throws immediately, lenient counts + quarantines (bounded by the cap).
@@ -190,9 +166,10 @@ void ColumnarWriter::flush_block() {
     desc.col_bytes[k] = static_cast<std::uint32_t>(col_end[k] - col_end[k - 1]);
   }
   desc.payload_bytes = static_cast<std::uint32_t>(scratch_.size());
+  // The same CRC32 the checkpoint and wire formats frame payloads with.
   desc.crc32 =
-      crc32(reinterpret_cast<const std::uint8_t*>(scratch_.data()),
-            scratch_.size());
+      binio::crc32({reinterpret_cast<const std::uint8_t*>(scratch_.data()),
+                    scratch_.size()});
 
   out_.write(scratch_.data(), static_cast<std::streamsize>(scratch_.size()));
   offset_ += scratch_.size();
@@ -212,8 +189,8 @@ std::uint64_t ColumnarWriter::finish() {
                                             sizeof(ColumnarBlockDesc)));
   }
   const std::uint32_t index_crc =
-      crc32(reinterpret_cast<const std::uint8_t*>(index_.data()),
-            index_.size() * sizeof(ColumnarBlockDesc));
+      binio::crc32({reinterpret_cast<const std::uint8_t*>(index_.data()),
+                    index_.size() * sizeof(ColumnarBlockDesc)});
   out_.write(reinterpret_cast<const char*>(&index_crc), sizeof index_crc);
 
   ColumnarHeader header{};
@@ -301,7 +278,8 @@ ColumnarFile ColumnarFile::parse(std::span<const std::uint8_t> bytes,
   std::uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, bytes.data() + header.index_offset + index_bytes,
               sizeof stored_crc);
-  if (crc32(bytes.data() + header.index_offset, index_bytes) != stored_crc) {
+  if (binio::crc32(bytes.subspan(header.index_offset, index_bytes)) !=
+      stored_crc) {
     structural_fault(options, report, label, FaultClass::kChecksumMismatch,
                      header.index_offset,
                      "block index CRC32 does not match its bytes");
@@ -319,16 +297,23 @@ ColumnarFile ColumnarFile::parse(std::span<const std::uint8_t> bytes,
   valid.reserve(file.index_.size());
   for (std::size_t b = 0; b < file.index_.size(); ++b) {
     const ColumnarBlockDesc& d = file.index_[b];
+    // Every record spends at least one varint byte in each column, so a
+    // record count beyond any column's bytes is a lie that would otherwise
+    // size the decode reserves (and read_columnar's dataset reserve).
+    const std::uint64_t col_sum = std::uint64_t{d.col_bytes[0]} +
+                                  d.col_bytes[1] + d.col_bytes[2] +
+                                  d.col_bytes[3];
     const bool in_bounds =
         d.offset >= sizeof(ColumnarHeader) && d.offset <= header.index_offset &&
         d.payload_bytes <= header.index_offset - d.offset &&
-        d.col_bytes[0] + d.col_bytes[1] + d.col_bytes[2] + d.col_bytes[3] ==
-            d.payload_bytes;
+        col_sum == d.payload_bytes &&
+        d.records <= *std::min_element(std::begin(d.col_bytes),
+                                       std::end(d.col_bytes));
     if (!in_bounds) {
       structural_fault(options, report, label, FaultClass::kTruncatedPayload,
                        d.offset,
                        "block " + std::to_string(b) +
-                           " descriptor outside the payload region");
+                           " descriptor does not fit its payload");
       continue;
     }
     valid.push_back(d);
@@ -483,7 +468,7 @@ ColumnarFile::DecodeStatus ColumnarFile::decode_block(std::size_t b,
   out.clear();
   const ColumnarBlockDesc& d = index_[b];
   const std::uint8_t* base = bytes_.data() + d.offset;
-  if (crc32(base, d.payload_bytes) != d.crc32) {
+  if (binio::crc32({base, d.payload_bytes}) != d.crc32) {
     return DecodeStatus::kChecksumMismatch;
   }
   const std::size_t n = d.records;

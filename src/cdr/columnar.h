@@ -1,10 +1,10 @@
-// CCDR2: the out-of-core columnar CDR format.
+// CCDR2: the repo's one binary CDR format, columnar and out-of-core.
 //
-// CCDR1 (io.h) is a row-oriented array of 24-byte records that must be
-// materialized in RAM before analysis; at the paper's scale (1M cars,
-// 1.1B connections) that is a ~26 GB allocation before the study even
-// starts. CCDR2 stores the same records struct-of-arrays in compressed
-// blocks so the batch study can stream them with bounded memory:
+// At the paper's scale (1M cars, 1.1B connections) a row-oriented array of
+// 24-byte records is a ~26 GB allocation before the study even starts.
+// CCDR2 stores the records struct-of-arrays in compressed blocks so the
+// batch study can stream them with bounded memory (CSV, cdr/io.h, stays the
+// interchange format):
 //
 //   header  | block payloads ... | block index | index crc32
 //
@@ -28,7 +28,12 @@
 // (DESIGN.md §7): a damaged header is kBadHeader, a chopped file or index
 // is kTruncatedPayload, a payload whose CRC32 does not match is
 // kChecksumMismatch — strict throws at the first fault, lenient drops the
-// damaged block, keeps counting, and returns the survivors.
+// damaged block, keeps counting, and returns the survivors. A descriptor
+// is trusted only as far as the bytes back it: one whose payload leaves the
+// payload region, or that claims more records than any of its columns has
+// bytes (every record spends at least one varint byte per column), is
+// kTruncatedPayload too, so no header or index field can size an
+// allocation beyond the file.
 #pragma once
 
 #include <cstdint>
@@ -212,10 +217,11 @@ class ColumnarFile {
   int fd_ = -1;
 };
 
-/// Record-level screening mirroring io.cpp's FaultSink: value ranges first
-/// (negative duration, overflow, clock skew, unknown cell), then duplicate /
-/// out-of-order checks against the previous surviving record. Shared by
-/// read_columnar's materializer and run_study_columnar's streaming sweep.
+/// Record-level screening mirroring the CSV reader's (io.cpp): value ranges
+/// first (negative duration, overflow, clock skew, unknown cell), then
+/// duplicate / out-of-order checks against the previous surviving record.
+/// Shared by read_columnar's materializer and run_study_columnar's
+/// streaming sweep.
 /// Both reset the sequence state at every block boundary (blocks are
 /// car-aligned, so neither a duplicate pair nor a same-car order inversion
 /// can span one), which is what lets block chunks screen independently and
@@ -245,9 +251,10 @@ class RecordScreen {
 };
 
 /// Reads a CCDR2 file into an in-memory Dataset, honouring `options` and
-/// filling `report` — the CCDR1 read_binary counterpart, with the same
-/// record screening (value ranges, order, duplicates) on top of the
-/// block-level CRC discipline. The returned dataset is finalized.
+/// filling `report`: the read_csv record screening (value ranges, order,
+/// duplicates) on top of the block-level CRC discipline. Blocks decode
+/// sequentially (options.threads is not used). The returned dataset is
+/// finalized.
 [[nodiscard]] Dataset read_columnar(const std::string& path,
                                     const IngestOptions& options,
                                     IngestReport& report);
@@ -266,8 +273,7 @@ class RecordScreen {
                                            IngestReport& report,
                                            const std::string& label);
 
-/// True if `bytes` begins with the CCDR2 magic (format sniffing for the
-/// io.h entry points).
+/// True if `bytes` begins with the CCDR2 magic (format sniffing).
 [[nodiscard]] bool is_columnar(std::string_view bytes);
 
 }  // namespace ccms::cdr

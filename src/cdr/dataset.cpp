@@ -77,34 +77,6 @@ void Dataset::finalize_impl(exec::ThreadPool* pool) {
         (max_end + time::kSecondsPerDay - 1) / time::kSecondsPerDay);
   }
 
-  // Per-car offset table: car_offsets_[k] = number of records with car < k,
-  // i.e. the lower-bound index of car k in the sorted records. The
-  // sequential build counts + prefix-sums; the parallel build binary-
-  // searches each id independently. Both produce the identical table.
-  car_offsets_.assign(static_cast<std::size_t>(fleet_size_) + 1, 0);
-  if (pool != nullptr) {
-    constexpr std::size_t kIdBlock = 4096;
-    const std::size_t slots = car_offsets_.size();
-    const std::size_t blocks = (slots + kIdBlock - 1) / kIdBlock;
-    pool->parallel_for(blocks, [&](std::size_t blk) {
-      const std::size_t lo = blk * kIdBlock;
-      const std::size_t hi = std::min(slots, lo + kIdBlock);
-      auto it = std::lower_bound(
-          records_.begin(), records_.end(), lo,
-          [](const Connection& c, std::size_t car) { return c.car.value < car; });
-      for (std::size_t k = lo; k < hi; ++k) {
-        while (it != records_.end() && it->car.value < k) ++it;
-        car_offsets_[k] = static_cast<std::uint64_t>(it - records_.begin());
-      }
-    });
-  } else {
-    for (const Connection& c : records_) {
-      ++car_offsets_[c.car.value + 1];
-    }
-    std::partial_sum(car_offsets_.begin(), car_offsets_.end(),
-                     car_offsets_.begin());
-  }
-
   // By-cell permutation. The stable index sort breaks full-record ties by
   // storage index, which the chunked merge sort reproduces exactly.
   by_cell_.resize(records_.size());
@@ -145,14 +117,15 @@ void Dataset::finalize_impl(exec::ThreadPool* pool) {
 void Dataset::shrink_to_fit() {
   records_.shrink_to_fit();
   by_cell_.shrink_to_fit();
-  car_offsets_.shrink_to_fit();
 }
 
 std::span<const Connection> Dataset::of_car(CarId car) const {
-  if (car.value >= fleet_size_ || car_offsets_.empty()) return {};
-  const auto lo = car_offsets_[car.value];
-  const auto hi = car_offsets_[car.value + 1];
-  return {records_.data() + lo, hi - lo};
+  // A binary search over the (car, start)-sorted records, not a table
+  // indexed by car id: a declared fleet size (a CSV metadata row, a CCDR2
+  // header field) must never size an allocation.
+  const auto run = std::ranges::equal_range(
+      records_, car.value, {}, [](const Connection& c) { return c.car.value; });
+  return {run.begin(), run.end()};
 }
 
 void Dataset::set_fleet_size(std::uint32_t n) {

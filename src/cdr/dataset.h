@@ -131,7 +131,6 @@ class Dataset {
 
   std::vector<Connection> records_;
   std::vector<std::uint32_t> by_cell_;      // permutation: (cell, start) order
-  std::vector<std::uint64_t> car_offsets_;  // car id -> first index (+ sentinel)
   std::uint32_t fleet_size_ = 0;
   int study_days_ = 0;
   std::size_t distinct_cells_ = 0;          // cached by finalize()

@@ -85,17 +85,16 @@ struct IngestOptions {
   /// Max quarantine entries retained (counters keep counting past the cap).
   std::size_t quarantine_cap = 64;
 
-  /// Ingest parallelism: 1 = sequential (default), 0 = hardware
+  /// CSV ingest parallelism: 1 = sequential (default), 0 = hardware
   /// concurrency, N = N threads. The produced Dataset and IngestReport are
   /// bitwise identical for every value (see DESIGN.md §10): chunk results
   /// merge in byte-offset order and the cross-chunk order/duplicate checks
   /// are re-applied at chunk seams.
   int threads = 1;
 
-  /// Minimum chunk granularity for parallel ingest, in bytes (CSV chunks
-  /// are additionally newline-aligned; binary chunks rounded to whole
-  /// records). 0 = default 1 MiB. Tests shrink this to force chunk seams
-  /// on small fixtures.
+  /// Minimum chunk granularity for parallel CSV ingest, in bytes (chunks
+  /// are additionally newline-aligned). 0 = default 1 MiB. Tests shrink this
+  /// to force chunk seams on small fixtures.
   std::size_t chunk_bytes = 0;
 };
 
@@ -104,7 +103,10 @@ struct QuarantineEntry {
   FaultClass fault = FaultClass::kCount;
   std::uint64_t byte_offset = 0;  ///< offset of the row/record in the input
   std::string reason;             ///< human-readable diagnosis
-  std::string raw;                ///< raw CSV row / binary record hex prefix
+  std::string raw;                ///< raw CSV row (empty for CCDR2 faults)
+
+  friend bool operator==(const QuarantineEntry&,
+                         const QuarantineEntry&) = default;
 };
 
 /// Per-ingest integrity accounting. Invariant after a lenient read:

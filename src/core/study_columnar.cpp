@@ -268,24 +268,8 @@ bool study_reports_identical(const StudyReport& a, const StudyReport& b,
   id.check(a.ingest.counters == b.ingest.counters, "ingest.counters");
   id.check(a.ingest.quarantine_overflow == b.ingest.quarantine_overflow,
            "ingest.quarantine_overflow");
-  {
-    bool equal = a.ingest.quarantine.size() == b.ingest.quarantine.size();
-    for (std::size_t i = 0; equal && i < a.ingest.quarantine.size(); ++i) {
-      const auto& qa = a.ingest.quarantine[i];
-      const auto& qb = b.ingest.quarantine[i];
-      equal = qa.fault == qb.fault && qa.byte_offset == qb.byte_offset &&
-              qa.reason == qb.reason && qa.raw == qb.raw;
-    }
-    id.check(equal, "ingest.quarantine");
-  }
-  id.check(a.clean.input_records == b.clean.input_records,
-           "clean.input_records");
-  id.check(a.clean.hour_artifacts_removed == b.clean.hour_artifacts_removed,
-           "clean.hour_artifacts_removed");
-  id.check(a.clean.nonpositive_removed == b.clean.nonpositive_removed,
-           "clean.nonpositive_removed");
-  id.check(a.clean.implausible_removed == b.clean.implausible_removed,
-           "clean.implausible_removed");
+  id.check(a.ingest.quarantine == b.ingest.quarantine, "ingest.quarantine");
+  id.check(a.clean == b.clean, "clean");
 
   // Presence (Fig 2, Table 1).
   id.check(a.presence.cars_fraction == b.presence.cars_fraction,

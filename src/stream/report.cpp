@@ -365,18 +365,6 @@ bool spans_equal(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
 }
 
-bool quarantines_equal(const std::vector<cdr::QuarantineEntry>& a,
-                       const std::vector<cdr::QuarantineEntry>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].fault != b[i].fault || a[i].byte_offset != b[i].byte_offset ||
-        a[i].reason != b[i].reason || a[i].raw != b[i].raw) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool bins_equal(const std::vector<BinCounts>& a,
                 const std::vector<BinCounts>& b) {
   if (a.size() != b.size()) return false;
@@ -407,18 +395,10 @@ bool reports_identical(const StreamReport& a, const StreamReport& b,
   id.check(a.ingest.counters == b.ingest.counters, "ingest.counters");
   id.check(a.ingest.quarantine_overflow == b.ingest.quarantine_overflow,
            "ingest.quarantine_overflow");
-  id.check(quarantines_equal(a.ingest.quarantine, b.ingest.quarantine),
-           "ingest.quarantine");
+  id.check(a.ingest.quarantine == b.ingest.quarantine, "ingest.quarantine");
 
   // §3 cleaning screen.
-  id.check(a.clean.input_records == b.clean.input_records,
-           "clean.input_records");
-  id.check(a.clean.hour_artifacts_removed == b.clean.hour_artifacts_removed,
-           "clean.hour_artifacts_removed");
-  id.check(a.clean.nonpositive_removed == b.clean.nonpositive_removed,
-           "clean.nonpositive_removed");
-  id.check(a.clean.implausible_removed == b.clean.implausible_removed,
-           "clean.implausible_removed");
+  id.check(a.clean == b.clean, "clean");
 
   // Presence (Fig 2): the primitive series + denominators determine every
   // derived stat (trends, weekday table), so comparing them is exhaustive.

@@ -348,7 +348,7 @@ TEST(ColumnarCorruption, QuarantineCapBoundsRetention) {
 TEST(ColumnarScreening, ValueChecksFollowIngestDiscipline) {
   // A sorted file can still carry value-faulty records (negative duration,
   // clock skew, unknown cell, exact duplicates); the reader screens them
-  // exactly like the CCDR1 readers.
+  // exactly like the CSV reader.
   const Dataset original = make_dataset(
       {
           conn(0, 1, 10, -5),         // negative duration

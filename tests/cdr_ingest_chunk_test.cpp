@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "cdr/io.h"
 #include "test_helpers.h"
@@ -35,13 +34,7 @@ void expect_report_equal(const IngestReport& a, const IngestReport& b,
   EXPECT_EQ(a.bom_stripped, b.bom_stripped) << "width=" << width;
   EXPECT_EQ(a.counters, b.counters) << "width=" << width;
   EXPECT_EQ(a.quarantine_overflow, b.quarantine_overflow) << "width=" << width;
-  ASSERT_EQ(a.quarantine.size(), b.quarantine.size()) << "width=" << width;
-  for (std::size_t i = 0; i < a.quarantine.size(); ++i) {
-    EXPECT_EQ(a.quarantine[i].fault, b.quarantine[i].fault) << i;
-    EXPECT_EQ(a.quarantine[i].byte_offset, b.quarantine[i].byte_offset) << i;
-    EXPECT_EQ(a.quarantine[i].reason, b.quarantine[i].reason) << i;
-    EXPECT_EQ(a.quarantine[i].raw, b.quarantine[i].raw) << i;
-  }
+  EXPECT_EQ(a.quarantine, b.quarantine) << "width=" << width;
 }
 
 /// Reads `text` leniently at width 1 and at widths {2, 4, 8} with a tiny
@@ -51,12 +44,12 @@ void expect_chunk_parity(const std::string& text,
   IngestReport golden_report;
   const Dataset golden = read_csv_text(text, lenient_chunked(1, chunk_bytes),
                                        golden_report, "unit");
-  const std::string golden_bytes = write_binary_buffer(golden);
+  const std::string golden_bytes = write_csv_text(golden);
   for (const int width : {2, 4, 8}) {
     IngestReport report;
     const Dataset loaded = read_csv_text(
         text, lenient_chunked(width, chunk_bytes), report, "unit");
-    EXPECT_EQ(write_binary_buffer(loaded), golden_bytes) << "width=" << width;
+    EXPECT_EQ(write_csv_text(loaded), golden_bytes) << "width=" << width;
     expect_report_equal(report, golden_report, width);
   }
 }
@@ -205,12 +198,12 @@ TEST(IngestChunkTest, QuarantineCapAppliesGloballyAcrossChunks) {
   EXPECT_EQ(golden_report.quarantine.size(), 5u);
   EXPECT_EQ(golden_report.quarantine_overflow, 7u);
 
-  const std::string golden_bytes = write_binary_buffer(golden);
+  const std::string golden_bytes = write_csv_text(golden);
   for (const int width : {2, 4, 8}) {
     options.threads = width;
     IngestReport report;
     const Dataset loaded = read_csv_text(text, options, report, "unit");
-    EXPECT_EQ(write_binary_buffer(loaded), golden_bytes) << "width=" << width;
+    EXPECT_EQ(write_csv_text(loaded), golden_bytes) << "width=" << width;
     expect_report_equal(report, golden_report, width);
   }
 }
@@ -232,69 +225,6 @@ TEST(IngestChunkTest, MetadataCommentInLaterChunkStillApplies) {
   EXPECT_EQ(loaded.fleet_size(), 40u);
   EXPECT_EQ(loaded.study_days(), 30);
   expect_chunk_parity(text);
-}
-
-TEST(IngestChunkTest, BinaryChunkedIngestMatchesSequential) {
-  // Value screening (horizon) quarantines a subset of records; chunked
-  // binary ingest must produce the same dataset and report at every width.
-  std::vector<Connection> records;
-  for (int i = 0; i < 200; ++i) {
-    records.push_back(
-        test::conn(static_cast<std::uint32_t>(i / 8), 2,
-                   static_cast<time::Seconds>(i * 500), 20));
-  }
-  const std::string bytes =
-      write_binary_buffer(test::make_dataset(records, 40, 2));
-
-  IngestOptions options;
-  options.mode = ParseMode::kLenient;
-  options.horizon_s = 40'000;  // records past ~day 0.5 become clock skew
-  options.chunk_bytes = 8;     // many record-aligned chunks
-  options.threads = 1;
-  IngestReport golden_report;
-  const Dataset golden =
-      read_binary_buffer(bytes, options, golden_report, "unit");
-  EXPECT_GT(golden_report.count(FaultClass::kClockSkew), 0u);
-  const std::string golden_out = write_binary_buffer(golden);
-
-  for (const int width : {2, 4, 8}) {
-    options.threads = width;
-    IngestReport report;
-    const Dataset loaded = read_binary_buffer(bytes, options, report, "unit");
-    EXPECT_EQ(write_binary_buffer(loaded), golden_out) << "width=" << width;
-    expect_report_equal(report, golden_report, width);
-  }
-}
-
-TEST(IngestChunkTest, StrictBinaryTruncatedPayloadParity) {
-  std::vector<Connection> records;
-  for (int i = 0; i < 50; ++i) {
-    records.push_back(test::conn(1, 2, static_cast<time::Seconds>(i * 100), 5));
-  }
-  std::string bytes = write_binary_buffer(test::make_dataset(records, 4, 1));
-  bytes.resize(bytes.size() - 7);  // chop mid-record
-
-  IngestOptions options;
-  options.threads = 1;
-  options.chunk_bytes = 8;
-  std::string golden_message;
-  try {
-    IngestReport report;
-    (void)read_binary_buffer(bytes, options, report, "unit");
-    FAIL() << "expected CsvError";
-  } catch (const util::CsvError& e) {
-    golden_message = e.what();
-  }
-  for (const int width : {2, 8}) {
-    options.threads = width;
-    IngestReport report;
-    try {
-      (void)read_binary_buffer(bytes, options, report, "unit");
-      FAIL() << "expected CsvError at width " << width;
-    } catch (const util::CsvError& e) {
-      EXPECT_EQ(std::string(e.what()), golden_message) << "width=" << width;
-    }
-  }
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
 // Hardened-ingest behaviour: messy-but-honest inputs (BOM, CRLF, trailing
 // blank lines) parse everywhere including the legacy entry points; lenient
-// mode quarantines with exact byte offsets and reasons; hostile binary
-// headers degrade into clear errors, never UB or giant allocations.
+// mode quarantines with exact byte offsets and reasons; hostile CCDR2
+// headers and block descriptors degrade into clear errors, never UB or giant
+// allocations.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
+#include "cdr/columnar.h"
 #include "cdr/io.h"
 #include "test_helpers.h"
+#include "util/binio.h"
 #include "util/csv.h"
 
 namespace ccms::cdr {
@@ -27,7 +32,7 @@ class IngestTest : public ::testing::Test {
   }
   void TearDown() override {
     std::remove(path("ccms_ingest.csv").c_str());
-    std::remove(path("ccms_ingest.bin").c_str());
+    std::remove(path("ccms_ingest.ccdr2").c_str());
   }
 
   Dataset sample() {
@@ -149,28 +154,29 @@ TEST_F(IngestTest, QuarantineCapBoundsMemoryButNotCounting) {
 }
 
 TEST_F(IngestTest, BinaryShorterThanHeaderIsACleanError) {
-  const std::string stub = "CCDR1";
+  const std::string stub = "CCDR2";
   IngestOptions lenient;
   lenient.mode = ParseMode::kLenient;
   IngestReport report;
-  const Dataset loaded = read_binary_buffer(stub, lenient, report);
+  const Dataset loaded = read_columnar_buffer(stub, lenient, report);
   EXPECT_EQ(loaded.size(), 0u);
   EXPECT_EQ(report.count(FaultClass::kBadHeader), 1u);
 
   {
-    std::ofstream out(path("ccms_ingest.bin"), std::ios::binary);
+    std::ofstream out(path("ccms_ingest.ccdr2"), std::ios::binary);
     out << stub;
   }
-  EXPECT_THROW((void)read_binary(path("ccms_ingest.bin")), util::CsvError);
+  EXPECT_THROW((void)read_columnar(path("ccms_ingest.ccdr2"), {}, report),
+               util::CsvError);
 }
 
 TEST_F(IngestTest, BinaryBadMagicQuarantinesInLenientMode) {
-  std::string bytes = write_binary_buffer(sample());
+  std::string bytes = write_columnar_buffer(sample());
   bytes[0] = 'X';
   IngestOptions lenient;
   lenient.mode = ParseMode::kLenient;
   IngestReport report;
-  const Dataset loaded = read_binary_buffer(bytes, lenient, report);
+  const Dataset loaded = read_columnar_buffer(bytes, lenient, report);
   EXPECT_EQ(loaded.size(), 0u);
   EXPECT_EQ(report.count(FaultClass::kBadHeader), 1u);
   ASSERT_EQ(report.quarantine.size(), 1u);
@@ -178,31 +184,53 @@ TEST_F(IngestTest, BinaryBadMagicQuarantinesInLenientMode) {
 }
 
 TEST_F(IngestTest, HostileRecordCountCannotForceAHugeAllocation) {
-  // Header claims 10^18 records; the payload holds 3. The reader must
-  // validate against the payload before reserving.
-  std::string bytes = write_binary_buffer(sample());
-  const std::uint64_t huge = 1000000000000000000ULL;
-  std::memcpy(bytes.data() + 8, &huge, sizeof huge);
+  // One block per car: block 0 holds car 0's two records, block 1 car 3's
+  // one. Block 0's descriptor then claims 2^32 - 1 records behind a
+  // recomputed index CRC, so only the record-count screen can catch it.
+  std::ostringstream out(std::ios::binary);
+  ColumnarWriter writer(out, /*fleet_size=*/10, /*study_days=*/90,
+                        /*block_records=*/1);
+  const Dataset original = sample();
+  for (const Connection& c : original.all()) writer.add(c);
+  writer.finish();
+  std::string bytes = out.str();
+  IngestReport clean_report;
+  const std::size_t blocks =
+      ColumnarFile::from_buffer(bytes, {}, clean_report).blocks().size();
+  ASSERT_EQ(blocks, 2u);
+  const std::size_t index_bytes = blocks * sizeof(ColumnarBlockDesc);
+  const std::size_t index_offset = bytes.size() - index_bytes - 4;
+  const std::uint32_t hostile = 0xFFFFFFFFu;
+  std::memcpy(
+      bytes.data() + index_offset + offsetof(ColumnarBlockDesc, records),
+      &hostile, sizeof hostile);
+  const std::uint32_t crc = binio::crc32(std::span(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()) + index_offset,
+      index_bytes));
+  std::memcpy(bytes.data() + index_offset + index_bytes, &crc, sizeof crc);
 
+  // The descriptor is rejected before anything is sized from it: every
+  // record spends at least one byte per column.
   IngestOptions lenient;
   lenient.mode = ParseMode::kLenient;
   IngestReport report;
-  const Dataset loaded = read_binary_buffer(bytes, lenient, report);
-  EXPECT_EQ(loaded.size(), 3u);
-  EXPECT_EQ(report.count(FaultClass::kTruncatedPayload), 1u);
-  EXPECT_EQ(report.records_accepted, 3u);
+  const ColumnarFile file = ColumnarFile::from_buffer(bytes, lenient, report);
+  EXPECT_EQ(file.blocks().size(), 1u);
+  EXPECT_EQ(file.record_count(), 1u);
 
-  // The legacy strict reader refuses with a clear error, not bad_alloc.
-  {
-    std::ofstream out(path("ccms_ingest.bin"), std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  const Dataset loaded = read_columnar_buffer(bytes, lenient, report);
+  EXPECT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(report.count(FaultClass::kTruncatedPayload), 1u);
+  EXPECT_EQ(report.rows_read, 1u);
+  EXPECT_EQ(report.records_accepted, 1u);
+
+  // The strict reader refuses with a clear error, not bad_alloc.
   try {
-    (void)read_binary(path("ccms_ingest.bin"));
-    FAIL() << "legacy reader must reject the hostile header";
+    IngestReport strict_report;
+    (void)read_columnar_buffer(bytes, {}, strict_report);
+    FAIL() << "strict reader must reject the hostile descriptor";
   } catch (const util::CsvError& e) {
-    EXPECT_NE(std::string(e.what()).find("payload holds 3"),
-              std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("block 0"), std::string::npos)
         << e.what();
   }
 }

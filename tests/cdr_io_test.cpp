@@ -1,3 +1,5 @@
+// CSV import/export, and the same file-level round trips for the one
+// binary format, CCDR2 (cdr/columnar.h).
 #include "cdr/io.h"
 
 #include <gtest/gtest.h>
@@ -6,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "cdr/columnar.h"
 #include "test_helpers.h"
 #include "util/csv.h"
 
@@ -22,7 +25,13 @@ class IoTest : public ::testing::Test {
   }
   void TearDown() override {
     std::remove(path("ccms_io.csv").c_str());
-    std::remove(path("ccms_io.bin").c_str());
+    std::remove(path("ccms_io.ccdr2").c_str());
+  }
+
+  /// Strict CCDR2 read with default screening.
+  Dataset read_ccdr2(const std::string& file) {
+    IngestReport report;
+    return read_columnar(file, {}, report);
   }
 
   Dataset sample() {
@@ -51,8 +60,8 @@ TEST_F(IoTest, CsvRoundTrip) {
 
 TEST_F(IoTest, BinaryRoundTrip) {
   const Dataset original = sample();
-  write_binary(original, path("ccms_io.bin"));
-  const Dataset loaded = read_binary(path("ccms_io.bin"));
+  write_columnar(original, path("ccms_io.ccdr2"));
+  const Dataset loaded = read_ccdr2(path("ccms_io.ccdr2"));
 
   EXPECT_EQ(loaded.size(), original.size());
   EXPECT_EQ(loaded.fleet_size(), original.fleet_size());
@@ -104,23 +113,23 @@ TEST_F(IoTest, ReadCsvRejectsShortRow) {
 
 TEST_F(IoTest, BinaryRejectsBadMagic) {
   {
-    std::ofstream out(path("ccms_io.bin"), std::ios::binary);
-    out << "NOTCCDR1 garbage garbage garbage";
+    std::ofstream out(path("ccms_io.ccdr2"), std::ios::binary);
+    out << "NOTCCDR2 garbage garbage garbage garbage garbage";
   }
-  EXPECT_THROW((void)read_binary(path("ccms_io.bin")), util::CsvError);
+  EXPECT_THROW((void)read_ccdr2(path("ccms_io.ccdr2")), util::CsvError);
 }
 
 TEST_F(IoTest, BinaryRejectsTruncation) {
-  write_binary(sample(), path("ccms_io.bin"));
+  write_columnar(sample(), path("ccms_io.ccdr2"));
   // Chop the file.
-  const auto full = std::filesystem::file_size(path("ccms_io.bin"));
-  std::filesystem::resize_file(path("ccms_io.bin"), full - 10);
-  EXPECT_THROW((void)read_binary(path("ccms_io.bin")), util::CsvError);
+  const auto full = std::filesystem::file_size(path("ccms_io.ccdr2"));
+  std::filesystem::resize_file(path("ccms_io.ccdr2"), full - 10);
+  EXPECT_THROW((void)read_ccdr2(path("ccms_io.ccdr2")), util::CsvError);
 }
 
 TEST_F(IoTest, MissingFilesThrow) {
   EXPECT_THROW((void)read_csv("/nonexistent/x.csv"), util::CsvError);
-  EXPECT_THROW((void)read_binary("/nonexistent/x.bin"), util::CsvError);
+  EXPECT_THROW((void)read_ccdr2("/nonexistent/x.ccdr2"), util::CsvError);
 }
 
 TEST_F(IoTest, EmptyDatasetRoundTrips) {
@@ -128,8 +137,8 @@ TEST_F(IoTest, EmptyDatasetRoundTrips) {
   empty.set_fleet_size(5);
   empty.set_study_days(7);
   empty.finalize();
-  write_binary(empty, path("ccms_io.bin"));
-  const Dataset loaded = read_binary(path("ccms_io.bin"));
+  write_columnar(empty, path("ccms_io.ccdr2"));
+  const Dataset loaded = read_ccdr2(path("ccms_io.ccdr2"));
   EXPECT_EQ(loaded.size(), 0u);
   EXPECT_EQ(loaded.fleet_size(), 5u);
   EXPECT_EQ(loaded.study_days(), 7);

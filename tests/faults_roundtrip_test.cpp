@@ -5,9 +5,12 @@
 // injected exactly-1-hour artifacts.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <sstream>
 #include <string>
 
 #include "cdr/clean.h"
+#include "cdr/columnar.h"
 #include "cdr/io.h"
 #include "faults/fault_injector.h"
 #include "sim/simulator.h"
@@ -186,36 +189,50 @@ TEST(FaultRoundTrip, StrictThrowsAtTheFirstFaultByteOffset) {
   }
 }
 
-TEST(FaultRoundTrip, BinaryBitFlipsAreDetectedExactly) {
-  const Fixture& fx = fixture();
-  const std::string bytes = cdr::write_binary_buffer(fx.base);
+/// The fixture as CCDR2 in small blocks, so damage to one block leaves the
+/// others readable.
+std::string small_block_ccdr2(const cdr::Dataset& base) {
+  std::ostringstream out(std::ios::binary);
+  cdr::ColumnarWriter writer(out, base.fleet_size(), base.study_days(),
+                             /*block_records=*/512);
+  for (const cdr::Connection& c : base.all()) writer.add(c);
+  writer.finish();
+  return out.str();
+}
 
-  BinaryFaultPlan plan;
-  plan.flip_duration_sign = 0.01;
-  plan.flip_cell_high_bit = 0.01;
-  FaultInjector injector(0xCAFE, fx.env);
-  const auto corrupted = injector.corrupt_binary(bytes, plan);
-  EXPECT_GT(corrupted.log.count(FaultClass::kNegativeDuration), 0u);
-  EXPECT_GT(corrupted.log.count(FaultClass::kUnknownCell), 0u);
+TEST(FaultRoundTrip, BinaryBitFlipsAreDetectedExactly) {
+  // CCDR2 detects payload damage per block (CRC32), not per record: one
+  // flipped bit in every third block drops exactly those blocks.
+  const Fixture& fx = fixture();
+  std::string bytes = small_block_ccdr2(fx.base);
+  cdr::IngestReport probe;
+  const auto blocks = cdr::ColumnarFile::from_buffer(bytes, {}, probe).blocks();
+  ASSERT_GE(blocks.size(), 6u);
+  std::uint64_t flipped = 0;
+  std::uint64_t lost_records = 0;
+  for (std::size_t b = 1; b < blocks.size(); b += 3) {
+    const std::size_t at = blocks[b].offset + blocks[b].payload_bytes / 2;
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x10);
+    ++flipped;
+    lost_records += blocks[b].records;
+  }
 
   cdr::IngestReport report;
   const cdr::Dataset loaded =
-      cdr::read_binary_buffer(corrupted.bytes, fx.lenient, report);
-  EXPECT_EQ(report.count(FaultClass::kNegativeDuration),
-            corrupted.log.count(FaultClass::kNegativeDuration));
-  EXPECT_EQ(report.count(FaultClass::kUnknownCell),
-            corrupted.log.count(FaultClass::kUnknownCell));
-  EXPECT_EQ(loaded.size(), fx.base.size() - corrupted.log.total());
+      cdr::read_columnar_buffer(bytes, fx.lenient, report);
+  EXPECT_EQ(report.count(FaultClass::kChecksumMismatch), flipped);
+  EXPECT_EQ(report.total_faults(), flipped);
+  EXPECT_EQ(report.records_dropped, lost_records);
+  EXPECT_EQ(loaded.size(), fx.base.size() - lost_records);
 
-  // Strict fails at the first flipped record's offset.
+  // Strict fails at the first damaged block's offset.
   cdr::IngestReport strict_report;
   try {
-    (void)cdr::read_binary_buffer(corrupted.bytes, fx.strict, strict_report);
-    FAIL() << "strict ingest must throw on flipped records";
+    (void)cdr::read_columnar_buffer(bytes, fx.strict, strict_report);
+    FAIL() << "strict ingest must throw on a damaged block";
   } catch (const util::CsvError& e) {
     const std::string needle =
-        "byte offset " + std::to_string(corrupted.log.first_fatal_offset()) +
-        " in";
+        "byte offset " + std::to_string(blocks[1].offset) + " in";
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << e.what();
   }
@@ -223,34 +240,35 @@ TEST(FaultRoundTrip, BinaryBitFlipsAreDetectedExactly) {
 
 TEST(FaultRoundTrip, BinaryHeaderDamageDegradesGracefully) {
   const Fixture& fx = fixture();
-  const std::string bytes = cdr::write_binary_buffer(fx.base);
-  FaultInjector injector(0xD00F, fx.env);
+  const std::string bytes = small_block_ccdr2(fx.base);
 
-  BinaryFaultPlan magic;
-  magic.corrupt_magic = true;
-  const auto bad_magic = injector.corrupt_binary(bytes, magic);
+  std::string bad_magic = bytes;
+  bad_magic[2] = static_cast<char>(bad_magic[2] ^ 0x40);
   cdr::IngestReport report;
   const cdr::Dataset none =
-      cdr::read_binary_buffer(bad_magic.bytes, fx.lenient, report);
+      cdr::read_columnar_buffer(bad_magic, fx.lenient, report);
   EXPECT_EQ(none.size(), 0u);
   EXPECT_EQ(report.count(FaultClass::kBadHeader), 1u);
 
-  BinaryFaultPlan inflate;
-  inflate.inflate_record_count = true;
-  const auto inflated = injector.corrupt_binary(bytes, inflate);
+  // The header's record count (the u64 after the 8-byte magic) is not
+  // trusted: the index decides, and the mismatch is one payload fault.
+  std::string inflated = bytes;
+  std::uint64_t claimed = 0;
+  std::memcpy(&claimed, inflated.data() + 8, sizeof claimed);
+  claimed += 1234;
+  std::memcpy(inflated.data() + 8, &claimed, sizeof claimed);
   cdr::IngestReport inflate_report;
   const cdr::Dataset all =
-      cdr::read_binary_buffer(inflated.bytes, fx.lenient, inflate_report);
+      cdr::read_columnar_buffer(inflated, fx.lenient, inflate_report);
   EXPECT_EQ(all.size(), fx.base.size());
   EXPECT_EQ(inflate_report.count(FaultClass::kTruncatedPayload), 1u);
 
-  BinaryFaultPlan chop;
-  chop.truncate_records = 5;
-  const auto chopped = injector.corrupt_binary(bytes, chop);
+  // A chopped tail takes the index with it: no block can be trusted.
+  const std::string chopped = bytes.substr(0, bytes.size() - 5);
   cdr::IngestReport chop_report;
   const cdr::Dataset rest =
-      cdr::read_binary_buffer(chopped.bytes, fx.lenient, chop_report);
-  EXPECT_EQ(rest.size(), fx.base.size() - 5);
+      cdr::read_columnar_buffer(chopped, fx.lenient, chop_report);
+  EXPECT_EQ(rest.size(), 0u);
   EXPECT_EQ(chop_report.count(FaultClass::kTruncatedPayload), 1u);
 }
 
